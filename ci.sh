@@ -14,7 +14,8 @@ echo "== build (release) =="
 cargo build --release
 
 echo "== tests =="
-cargo test -q
+# Every package's tests, not only the umbrella package's.
+cargo test --workspace -q
 
 echo "== bench smoke =="
 BENCH_LOG=$(mktemp)
@@ -24,7 +25,6 @@ echo "== sweep bench artifact =="
 # The sweep suite's JSON lines become the gate artifact for the parallel
 # executor's perf numbers.
 grep '^{"suite":"sweep"' "$BENCH_LOG" > BENCH_sweep.json
-rm -f "$BENCH_LOG"
 test -s BENCH_sweep.json
 # The artifact must carry the scheduler microbenches (wheel vs heap churn)
 # and the bounded large-N scaling point the smoke run emits.
@@ -33,6 +33,17 @@ grep -q '"name":"sched_heap_churn_100k_pending"' BENCH_sweep.json
 grep -q '"name":"fig9_large_binary_n10000"' BENCH_sweep.json
 grep -q '"name":"fig_shards_quick"' BENCH_sweep.json
 echo "wrote BENCH_sweep.json ($(wc -l < BENCH_sweep.json) entries)"
+
+echo "== protocols bench artifact =="
+# The protocol-plane suite's JSON lines, kept the same way. It must carry
+# the per-possession microbenches: history application of a 1000-entry
+# carried window and hit/miss probes on a 4000-id satisfied window.
+grep '^{"suite":"protocols"' "$BENCH_LOG" > BENCH_protocols.json
+rm -f "$BENCH_LOG"
+test -s BENCH_protocols.json
+grep -q '"name":"history_apply_window_1k"' BENCH_protocols.json
+grep -q '"name":"satisfied_probe_window_4k"' BENCH_protocols.json
+echo "wrote BENCH_protocols.json ($(wc -l < BENCH_protocols.json) entries)"
 
 echo "== parallel determinism smoke =="
 # The same quick sweep at 1 and 4 workers must print byte-identical tables.

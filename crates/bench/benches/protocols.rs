@@ -1,10 +1,11 @@
 //! Micro-benchmarks of the executable protocol plane, on the in-repo
 //! `atp_util::bench` harness. Run `-- --smoke` for a single-iteration
-//! sanity pass (what `ci.sh` does).
+//! sanity pass (what `ci.sh` does; it keeps the `{"suite":"protocols",...}`
+//! lines as `BENCH_protocols.json`).
 
 use atp_core::{
-    decode_binary_msg, encode_binary_msg, BinaryMsg, BinaryNode, ProtocolConfig, RingNode,
-    TokenFrame, TokenMode, Want,
+    decode_binary_msg, encode_binary_msg, BinaryMsg, BinaryNode, LogEntry, OrderState,
+    ProtocolConfig, RequestId, RingNode, TokenFrame, TokenMode, Want,
 };
 use atp_net::{NodeId, SimTime, World, WorldConfig};
 use atp_sim::runner::{run_experiment, ExperimentSpec, Protocol};
@@ -67,6 +68,41 @@ fn main() {
     r.bench("codec/encode_token_frame", || encode_binary_msg(&msg));
     r.bench("codec/decode_token_frame", || {
         decode_binary_msg(&bytes).expect("valid frame")
+    });
+
+    // History application on possession: a node one lap behind applies the
+    // ~N/gap entries carried since its last visit (1000 at N = 10k, gap 10).
+    let window: Vec<LogEntry> = (1..=1_000u64)
+        .map(|seq| LogEntry {
+            seq,
+            origin: NodeId::new((seq % 97) as u32),
+            payload: seq.wrapping_mul(0x9e37_79b9),
+            round: 0,
+        })
+        .collect();
+    r.bench("history_apply_window_1k", || {
+        let mut order = OrderState::new(false);
+        order.apply_entries(&window, SimTime::ZERO);
+        order.digest()
+    });
+
+    // Satisfied-window membership: the probe Binary, Search and Naimi run
+    // on every trap, gimme and possession, against a full 4000-id window
+    // (the grants of a 4-round N = 10k run). Half the probes hit.
+    let mut frame = TokenFrame::new(4_000);
+    for k in 0..4_000u64 {
+        frame.mark_satisfied(RequestId::new(
+            NodeId::new((k % 1_000) as u32),
+            1 + k / 1_000,
+        ));
+    }
+    let probes: Vec<RequestId> = (0..256u64)
+        .map(|k| RequestId::new(NodeId::new((k * 37 % 1_000) as u32), 1 + k % 8))
+        .collect();
+    r.bench("satisfied_probe_window_4k", || {
+        let hits = probes.iter().filter(|p| frame.is_satisfied(p)).count();
+        assert_eq!(hits, 128);
+        hits
     });
 
     // Cost of the external-request path (on_external through search issue).

@@ -28,6 +28,13 @@ pub enum CodecError {
     Truncated,
     /// An unknown message/mode tag was encountered.
     BadTag(u8),
+    /// A token frame's satisfied window holds more ids than its cap.
+    SatisfiedOverCap {
+        /// Ids on the wire.
+        len: u32,
+        /// The frame's satisfied-window cap.
+        cap: u32,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -35,6 +42,9 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "message truncated"),
             CodecError::BadTag(t) => write!(f, "unknown tag {t:#x}"),
+            CodecError::SatisfiedOverCap { len, cap } => {
+                write!(f, "satisfied window of {len} ids exceeds its cap {cap}")
+            }
         }
     }
 }
@@ -519,13 +529,13 @@ pub fn decode_binary_msg(bytes: &[u8]) -> Result<BinaryMsg, CodecError> {
             } else {
                 TokenMode::Return
             };
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
+            let frame = Box::new(TokenFrame::decode(&mut buf)?);
             Ok(BinaryMsg::Token { frame, mode })
         }
         TAG_TOKEN_GRANT => {
             let for_req = get_req(&mut buf)?;
             let return_to = NodeId::new(get_u32(&mut buf)?);
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
+            let frame = Box::new(TokenFrame::decode(&mut buf)?);
             Ok(BinaryMsg::Token {
                 frame,
                 mode: TokenMode::Grant { for_req, return_to },
@@ -535,7 +545,7 @@ pub fn decode_binary_msg(bytes: &[u8]) -> Result<BinaryMsg, CodecError> {
             let for_req = get_req(&mut buf)?;
             let return_to = NodeId::new(get_u32(&mut buf)?);
             let trail = get_trail(&mut buf)?;
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
+            let frame = Box::new(TokenFrame::decode(&mut buf)?);
             Ok(BinaryMsg::Token {
                 frame,
                 mode: TokenMode::CleanupHop {
@@ -627,7 +637,7 @@ pub fn decode_ring_msg(bytes: &[u8]) -> Result<RingMsg, CodecError> {
     let tag = get_u8(&mut buf)?;
     match tag {
         TAG_RING_TOKEN => {
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
+            let frame = Box::new(TokenFrame::decode(&mut buf)?);
             Ok(RingMsg::Token(frame))
         }
         other => match get_regen_msg(other, &mut buf)? {
@@ -686,7 +696,7 @@ pub fn decode_search_msg(bytes: &[u8]) -> Result<SearchMsg, CodecError> {
     let tag = get_u8(&mut buf)?;
     match tag {
         TAG_SEARCH_TOKEN_LAZY => {
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
+            let frame = Box::new(TokenFrame::decode(&mut buf)?);
             Ok(SearchMsg::Token {
                 frame,
                 grant_for: None,
@@ -694,7 +704,7 @@ pub fn decode_search_msg(bytes: &[u8]) -> Result<SearchMsg, CodecError> {
         }
         TAG_SEARCH_TOKEN_GRANT => {
             let req = get_req(&mut buf)?;
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
+            let frame = Box::new(TokenFrame::decode(&mut buf)?);
             Ok(SearchMsg::Token {
                 frame,
                 grant_for: Some(req),
@@ -798,7 +808,7 @@ pub fn decode_naimi_msg(bytes: &[u8]) -> Result<NaimiMsg, CodecError> {
             })
         }
         TAG_NAIMI_TOKEN_LAZY => {
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
+            let frame = Box::new(TokenFrame::decode(&mut buf)?);
             Ok(NaimiMsg::Token {
                 frame,
                 grant_for: None,
@@ -806,7 +816,7 @@ pub fn decode_naimi_msg(bytes: &[u8]) -> Result<NaimiMsg, CodecError> {
         }
         TAG_NAIMI_TOKEN_GRANT => {
             let req = get_req(&mut buf)?;
-            let frame = Box::new(TokenFrame::decode(&mut buf).ok_or(CodecError::Truncated)?);
+            let frame = Box::new(TokenFrame::decode(&mut buf)?);
             Ok(NaimiMsg::Token {
                 frame,
                 grant_for: Some(req),

@@ -15,14 +15,19 @@
 //! * the rotation bookkeeping (visit counter, round counter, idle rounds)
 //!   that drives visit stamps and the adaptive-speed optimization.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::VecDeque;
 
 use atp_net::NodeId;
 
+use crate::codec::CodecError;
 use crate::types::{LogEntry, RequestId, VisitStamp};
 
 /// The circulating token and its bounded payload.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Debug` and `PartialEq` are written out by hand only to leave the
+/// derived satisfied-window index out; they cover every other field.
+#[derive(Clone)]
 pub struct TokenFrame {
     /// Token generation; bumped on regeneration after a loss (Section 5).
     /// Frames from superseded generations are discarded on receipt.
@@ -43,6 +48,10 @@ pub struct TokenFrame {
     carried: Vec<LogEntry>,
     /// Recently satisfied requests, newest at the back.
     satisfied: VecDeque<RequestId>,
+    /// How many times each id occurs in `satisfied`, so a membership probe
+    /// costs O(log W) instead of a scan of the window. Derived state: never
+    /// encoded or iterated, rebuilt by `decode`.
+    satisfied_index: BTreeMap<RequestId, u32>,
     satisfied_cap: usize,
     /// Consecutive full rounds in which nobody used the token.
     idle_rounds: u32,
@@ -67,6 +76,7 @@ impl TokenFrame {
             next_seq: 1,
             carried: Vec::new(),
             satisfied: VecDeque::new(),
+            satisfied_index: BTreeMap::new(),
             satisfied_cap: satisfied_cap.max(1),
             idle_rounds: 0,
             demand_this_round: false,
@@ -175,15 +185,23 @@ impl TokenFrame {
     /// Records that `req` has been granted (for rotation trap cleanup).
     pub fn mark_satisfied(&mut self, req: RequestId) {
         if self.satisfied.len() == self.satisfied_cap {
-            self.satisfied.pop_front();
+            if let Some(evicted) = self.satisfied.pop_front() {
+                if let Entry::Occupied(mut slot) = self.satisfied_index.entry(evicted) {
+                    *slot.get_mut() -= 1;
+                    if *slot.get() == 0 {
+                        slot.remove();
+                    }
+                }
+            }
         }
         self.satisfied.push_back(req);
+        *self.satisfied_index.entry(req).or_insert(0) += 1;
         self.demand_this_round = true;
     }
 
     /// Whether `req` appears in the satisfied window.
     pub fn is_satisfied(&self, req: &RequestId) -> bool {
-        self.satisfied.contains(req)
+        self.satisfied_index.contains_key(req)
     }
 
     /// Entries the token still carries (current and previous round).
@@ -274,10 +292,17 @@ impl TokenFrame {
 
     /// Deserializes a frame previously written by [`TokenFrame::encode`].
     ///
-    /// Returns `None` if `buf` is truncated.
-    pub fn decode(buf: &mut impl atp_util::buf::Buf) -> Option<Self> {
-        fn need(buf: &impl atp_util::buf::Buf, n: usize) -> Option<()> {
-            (buf.remaining() >= n).then_some(())
+    /// Returns [`CodecError::Truncated`] if `buf` is truncated and
+    /// [`CodecError::SatisfiedOverCap`] if the satisfied window is longer
+    /// than its cap: `mark_satisfied` evicts one id per push, so such a
+    /// window would never shrink back to its bound.
+    pub fn decode(buf: &mut impl atp_util::buf::Buf) -> Result<Self, CodecError> {
+        fn need(buf: &impl atp_util::buf::Buf, n: usize) -> Result<(), CodecError> {
+            if buf.remaining() >= n {
+                Ok(())
+            } else {
+                Err(CodecError::Truncated)
+            }
         }
         need(buf, 4 + 8 + 8 + 8 + 8 + 4 + 1 + 4 + 4)?;
         let generation = buf.get_u32_le();
@@ -287,7 +312,7 @@ impl TokenFrame {
         let next_seq = buf.get_u64_le();
         let idle_rounds = buf.get_u32_le();
         let demand_this_round = buf.get_u8() != 0;
-        let satisfied_cap = buf.get_u32_le() as usize;
+        let satisfied_cap = buf.get_u32_le().max(1);
         let n_carried = buf.get_u32_le() as usize;
         let mut carried = Vec::with_capacity(n_carried.min(1 << 16));
         for _ in 0..n_carried {
@@ -300,14 +325,20 @@ impl TokenFrame {
             });
         }
         need(buf, 4)?;
-        let n_satisfied = buf.get_u32_le() as usize;
-        let mut satisfied = VecDeque::with_capacity(n_satisfied.min(1 << 16));
+        let n_satisfied = buf.get_u32_le();
+        if n_satisfied > satisfied_cap {
+            return Err(CodecError::SatisfiedOverCap {
+                len: n_satisfied,
+                cap: satisfied_cap,
+            });
+        }
+        let mut satisfied = VecDeque::with_capacity((n_satisfied as usize).min(1 << 16));
+        let mut satisfied_index = BTreeMap::new();
         for _ in 0..n_satisfied {
             need(buf, 4 + 8)?;
-            satisfied.push_back(RequestId::new(
-                NodeId::new(buf.get_u32_le()),
-                buf.get_u64_le(),
-            ));
+            let req = RequestId::new(NodeId::new(buf.get_u32_le()), buf.get_u64_le());
+            satisfied.push_back(req);
+            *satisfied_index.entry(req).or_insert(0) += 1;
         }
         need(buf, 4)?;
         let n_excluded = buf.get_u32_le() as usize;
@@ -316,7 +347,7 @@ impl TokenFrame {
             need(buf, 4)?;
             excluded.push(NodeId::new(buf.get_u32_le()));
         }
-        Some(TokenFrame {
+        Ok(TokenFrame {
             generation,
             transfer_seq,
             visit_seq,
@@ -324,11 +355,74 @@ impl TokenFrame {
             next_seq,
             carried,
             satisfied,
-            satisfied_cap: satisfied_cap.max(1),
+            satisfied_index,
+            satisfied_cap: satisfied_cap as usize,
             idle_rounds,
             demand_this_round,
             excluded,
         })
+    }
+}
+
+impl std::fmt::Debug for TokenFrame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let TokenFrame {
+            generation,
+            transfer_seq,
+            visit_seq,
+            round,
+            next_seq,
+            carried,
+            satisfied,
+            satisfied_index: _,
+            satisfied_cap,
+            idle_rounds,
+            demand_this_round,
+            excluded,
+        } = self;
+        f.debug_struct("TokenFrame")
+            .field("generation", generation)
+            .field("transfer_seq", transfer_seq)
+            .field("visit_seq", visit_seq)
+            .field("round", round)
+            .field("next_seq", next_seq)
+            .field("carried", carried)
+            .field("satisfied", satisfied)
+            .field("satisfied_cap", satisfied_cap)
+            .field("idle_rounds", idle_rounds)
+            .field("demand_this_round", demand_this_round)
+            .field("excluded", excluded)
+            .finish()
+    }
+}
+
+impl PartialEq for TokenFrame {
+    fn eq(&self, other: &Self) -> bool {
+        let TokenFrame {
+            generation,
+            transfer_seq,
+            visit_seq,
+            round,
+            next_seq,
+            carried,
+            satisfied,
+            satisfied_index: _,
+            satisfied_cap,
+            idle_rounds,
+            demand_this_round,
+            excluded,
+        } = self;
+        *generation == other.generation
+            && *transfer_seq == other.transfer_seq
+            && *visit_seq == other.visit_seq
+            && *round == other.round
+            && *next_seq == other.next_seq
+            && *carried == other.carried
+            && *satisfied == other.satisfied
+            && *satisfied_cap == other.satisfied_cap
+            && *idle_rounds == other.idle_rounds
+            && *demand_this_round == other.demand_this_round
+            && *excluded == other.excluded
     }
 }
 
@@ -419,6 +513,77 @@ mod tests {
         assert!(!t.is_satisfied(&r(0)));
         assert!(t.is_satisfied(&r(1)));
         assert!(t.is_satisfied(&r(2)));
+    }
+
+    /// The satisfied index agrees with a linear scan of the window at every
+    /// step, for seeded sequences with repeated ids and every cap from 1 to
+    /// 64, and survives an encode/decode round trip without changing the
+    /// wire bytes.
+    #[test]
+    fn satisfied_index_matches_linear_scan() {
+        use atp_util::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x5a7_15f1ed);
+        for cap in 1..=64usize {
+            let mut t = TokenFrame::new(cap);
+            let mut model: VecDeque<RequestId> = VecDeque::new();
+            // A small id universe forces repeats inside one window.
+            let universe = (cap as u32 / 2).max(2);
+            let id = |rng: &mut StdRng| {
+                RequestId::new(
+                    NodeId::new(rng.gen_range(0..universe)),
+                    rng.gen_range(1u64..=2),
+                )
+            };
+            for _ in 0..4 * cap + 8 {
+                let req = id(&mut rng);
+                t.mark_satisfied(req);
+                if model.len() == cap {
+                    model.pop_front();
+                }
+                model.push_back(req);
+                assert_eq!(t.satisfied, model);
+                for _ in 0..4 {
+                    let probe = id(&mut rng);
+                    assert_eq!(t.is_satisfied(&probe), t.satisfied.contains(&probe));
+                }
+            }
+
+            let mut bytes = Vec::new();
+            t.encode(&mut bytes);
+            assert_eq!(bytes.len(), t.encoded_len());
+            // The satisfied section is exactly the plain window's encoding.
+            let mut expected = (model.len() as u32).to_le_bytes().to_vec();
+            for r in &model {
+                expected.extend_from_slice(&r.origin.raw().to_le_bytes());
+                expected.extend_from_slice(&r.seq.to_le_bytes());
+            }
+            expected.extend_from_slice(&0u32.to_le_bytes());
+            assert!(bytes.ends_with(&expected));
+
+            let mut back = TokenFrame::decode(&mut bytes.as_slice()).expect("round trip");
+            assert_eq!(back, t);
+            let mut again = Vec::new();
+            back.encode(&mut again);
+            assert_eq!(again, bytes);
+            assert_eq!(back.encoded_len(), t.encoded_len());
+            for origin in 0..=universe {
+                for seq in 1..=3 {
+                    let probe = RequestId::new(NodeId::new(origin), seq);
+                    assert_eq!(back.is_satisfied(&probe), model.contains(&probe));
+                }
+            }
+            // The rebuilt index keeps evicting in step with the window.
+            for _ in 0..2 * cap {
+                let req = id(&mut rng);
+                back.mark_satisfied(req);
+                if model.len() == cap {
+                    model.pop_front();
+                }
+                model.push_back(req);
+                let probe = id(&mut rng);
+                assert_eq!(back.is_satisfied(&probe), model.contains(&probe));
+            }
+        }
     }
 
     #[test]

@@ -493,6 +493,10 @@ pub struct RunProfile {
     /// deterministic, but they stay profile-only: they describe the
     /// engine, not the protocol under test.
     pub sched: SchedStats,
+    /// History entries applied, summed over nodes (Σ `applied_seq`).
+    /// Deterministic, but kept out of [`RunSummary`] and its JSON so
+    /// digests of that JSON stay unchanged.
+    pub entries_applied: u64,
 }
 
 impl RunProfile {
@@ -503,13 +507,15 @@ impl RunProfile {
         self.drain_ns += other.drain_ns;
         self.steps += other.steps;
         self.sched.merge(&other.sched);
+        self.entries_applied += other.entries_applied;
     }
 
     /// One-line human-readable rendering for stderr.
     pub fn line(&self) -> String {
         format!(
             "profile: {} steps, pop {:.3}s, deliver {:.3}s, drain {:.3}s, \
-             sched {} cascades / {} promotions, arena {}B reused / {}B alloc",
+             sched {} cascades / {} promotions, arena {}B reused / {}B alloc, \
+             {} entries applied",
             self.steps,
             self.pop_ns as f64 / 1e9,
             self.deliver_ns as f64 / 1e9,
@@ -518,6 +524,7 @@ impl RunProfile {
             self.sched.overflow_promotions,
             self.sched.arena_bytes_reused,
             self.sched.arena_bytes_allocated,
+            self.entries_applied,
         )
     }
 }
@@ -705,6 +712,7 @@ fn drive<N: ProtocolNode>(
         drain_ns,
         steps: p.steps,
         sched: world.sched_stats(),
+        entries_applied: world.nodes().map(|(_, n)| n.applied_len()).sum(),
     });
     let stats = world.stats();
     let summary = RunSummary {

@@ -238,6 +238,22 @@ mod tests {
     }
 
     #[test]
+    fn entries_applied_is_deterministic_and_merges_exactly() {
+        let points = sample_points();
+        let (summaries, merged) = pool::with_threads(4, || run_points_profiled(&points));
+        let per_point: Vec<u64> = points
+            .iter()
+            .map(|p| p.run_profiled().1.entries_applied)
+            .collect();
+        assert_eq!(merged.entries_applied, per_point.iter().sum::<u64>());
+        for ((p, s), applied) in points.iter().zip(&summaries).zip(&per_point) {
+            // Every grant appends one entry, which each node applies once.
+            assert!(*applied > 0, "{:?}: nothing applied", p.spec.protocol);
+            assert!(*applied <= p.spec.n as u64 * s.metrics.grants);
+        }
+    }
+
+    #[test]
     fn workload_specs_build_matching_generators() {
         let n = 8;
         let horizon = SimTime::from_ticks(500);

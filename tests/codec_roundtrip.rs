@@ -17,7 +17,7 @@ use adaptive_token_passing::core::{
     decode_binary_msg, decode_naimi_msg, decode_ring_msg, decode_search_msg, encode_binary_msg,
     encode_naimi_msg, encode_ring_msg, encode_search_msg, known_binary_tags, known_naimi_tags,
     known_ring_tags, known_search_tags, naimi_encoded_len, ring_encoded_len, search_encoded_len,
-    BinaryMsg, CodecError, Gimme, RequestId, VisitStamp,
+    BinaryMsg, CodecError, Gimme, RequestId, RingMsg, TokenFrame, VisitStamp,
 };
 use adaptive_token_passing::net::NodeId;
 use adaptive_token_passing::util::check::{Check, Gen};
@@ -205,6 +205,30 @@ fn inflated_length_prefix_is_truncated_error() {
     ));
 }
 
+/// A token frame whose satisfied window is longer than its own cap is
+/// rejected with a typed error: `mark_satisfied` evicts one id per push,
+/// so an oversize window would never shrink back to its bound.
+#[test]
+fn satisfied_window_over_cap_is_rejected() {
+    let mut frame = TokenFrame::new(4);
+    for i in 0..3 {
+        frame.mark_satisfied(RequestId::new(NodeId::new(i), 1));
+    }
+    let msg = RingMsg::Token(Box::new(frame));
+    let mut bytes = encode_ring_msg(&msg);
+    assert!(matches!(decode_ring_msg(&bytes), Ok(RingMsg::Token(_))));
+    // Tag (1) + generation, transfer_seq, visit_seq, round, next_seq,
+    // idle_rounds, demand flag (41) put the cap at offset 42.
+    assert_eq!(bytes[42..46], 4u32.to_le_bytes());
+    bytes[42..46].copy_from_slice(&3u32.to_le_bytes());
+    assert!(decode_ring_msg(&bytes).is_ok(), "a full window is in bounds");
+    bytes[42..46].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        decode_ring_msg(&bytes).err(),
+        Some(CodecError::SatisfiedOverCap { len: 3, cap: 2 })
+    );
+}
+
 #[test]
 fn truncation_always_errors_or_decodes_prefix_free() {
     Check::new("truncation_always_errors_or_decodes_prefix_free").run(arb_msg, |msg| {
@@ -244,7 +268,12 @@ fn ring_byte_corruption_is_rejected_or_reinterpreted_never_honored() {
                 }
             }
             Err(e) => assert!(
-                matches!(e, CodecError::BadTag(_) | CodecError::Truncated),
+                matches!(
+                    e,
+                    CodecError::BadTag(_)
+                        | CodecError::Truncated
+                        | CodecError::SatisfiedOverCap { .. }
+                ),
                 "unstructured ring decode error: {e:?}"
             ),
         },
@@ -273,7 +302,12 @@ fn search_byte_corruption_is_rejected_or_reinterpreted_never_honored() {
                 }
             }
             Err(e) => assert!(
-                matches!(e, CodecError::BadTag(_) | CodecError::Truncated),
+                matches!(
+                    e,
+                    CodecError::BadTag(_)
+                        | CodecError::Truncated
+                        | CodecError::SatisfiedOverCap { .. }
+                ),
                 "unstructured search decode error: {e:?}"
             ),
         },
