@@ -160,6 +160,20 @@ for proto in ring search binary naimi; do
 done
 echo "all four protocols conform to World over loopback TCP"
 
+echo "== threaded runtime smoke =="
+# The conform and chaos steps run atp_sim::cluster's single-thread driver;
+# this step runs the threaded runtime itself for every protocol family:
+# `Cluster` over loopback TCP and `ShardedCluster` (K=2) over channels,
+# 40 closed-loop requests each. The binary exits non-zero on a request
+# timeout, a decode error or an unclean shutdown.
+for proto in ring search binary naimi; do
+  cargo run -q --release -p atp-sim --bin cluster -- \
+    --protocol "$proto" --transport tcp --n 4 --requests 40
+  cargo run -q --release -p atp-sim --bin cluster -- \
+    --protocol "$proto" --transport chan --n 4 --shards 2 --requests 40
+done
+echo "threaded runtime served every protocol over tcp and sharded channels"
+
 echo "== chaos recovery smoke =="
 # Crash–restart recovery under wire-level chaos: every protocol family runs
 # the pinned kill/restart × corruption matrix (warm and cold restarts, up to

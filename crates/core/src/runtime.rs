@@ -1,12 +1,17 @@
 //! A real multi-threaded deployment of the token-passing protocols.
 //!
-//! Each node runs on its own OS thread, hosted by [`atp_net::Harness`];
-//! messages travel as **encoded byte frames** (see [`crate::codec`]) over a
-//! pluggable byte [`Transport`] — in-process mpsc channels by default
+//! Each node runs on its own OS thread, hosting one [`atp_net::Harness`]
+//! per shard; messages travel as **encoded byte frames** (see
+//! [`crate::codec`]) inside a [`crate::encode_shard_frame`] envelope over
+//! a pluggable byte [`Transport`] — in-process mpsc channels by default
 //! ([`Cluster::start`]), or real loopback TCP sockets
 //! ([`Cluster::start_on`] with [`atp_net::TcpTransport`]). The exact
 //! on-the-wire protocol is exercised either way. Ticks are mapped to
 //! wall-clock time through [`ClusterConfig::tick`].
+//!
+//! One node loop serves both front ends: [`Cluster`] is the `K = 1` case
+//! with node-addressed requests, and [`ShardedCluster`] runs `K`
+//! consistent-hash shards with key-addressed requests.
 //!
 //! The cluster is generic over `P:` [`WireProtocol`], defaulting to System
 //! BinarySearch; any of the four protocol families deploys unchanged.
@@ -35,11 +40,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use atp_net::{
-    ChanTransport, CloseReport, Endpoint, Harness, MsgClass, NodeId, SimTime, Topology, Transport,
+    ChanTransport, CloseReport, Endpoint, Harness, NodeId, SimTime, Topology, Transport,
 };
-use atp_util::rng::{Rng, SeedableRng, StdRng};
 
 use crate::binary::BinaryNode;
+use crate::codec::{decode_shard_frame, encode_shard_frame};
 use crate::config::ProtocolConfig;
 use crate::event::{TokenEvent, Want};
 use crate::shard::{ShardId, ShardMap};
@@ -57,10 +62,6 @@ pub struct ClusterConfig {
     pub tick: Duration,
     /// RNG seed base (node `i` uses `seed + i`).
     pub seed: u64,
-    /// Probability of dropping each cheap (control-class) frame before it
-    /// leaves the sender — models an unreliable datagram path for the
-    /// paper's "cheap" messages while token frames stay reliable.
-    pub control_drop_p: f64,
 }
 
 impl ClusterConfig {
@@ -73,7 +74,6 @@ impl ClusterConfig {
                 .with_max_idle_pass_ticks(64),
             tick: Duration::from_millis(1),
             seed: 0,
-            control_drop_p: 0.0,
         }
     }
 
@@ -94,29 +94,18 @@ impl ClusterConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the cheap-channel loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn with_control_drop(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.control_drop_p = p;
-        self
-    }
 }
 
 /// Out-of-band control messages to one node thread (the data plane is the
 /// transport; this channel carries only what a real deployment would get
 /// from its local host).
 enum Control {
-    External(Want),
+    External(ShardId, Want),
     Shutdown,
 }
 
 enum Due {
-    Timer { kind: u64 },
+    Timer { shard: ShardId, kind: u64 },
     Send { to: NodeId, frame: Vec<u8> },
 }
 
@@ -144,6 +133,128 @@ impl Ord for DueEntry {
     }
 }
 
+/// Turns a node's event into an item of the cluster's merged stream, so
+/// each front end keeps its own event type over the one node loop.
+type Tag<Ev> = fn(ShardId, NodeId, TokenEvent) -> Ev;
+
+/// Counters the node threads of one cluster update.
+#[derive(Default)]
+struct Counters {
+    /// Grants for every (node, shard) pair, `n × K`, at `node * K + shard`.
+    grants: Mutex<Vec<u64>>,
+    decode_errors: AtomicU64,
+    frames_lost: AtomicU64,
+}
+
+/// What every node thread of one cluster shares.
+#[derive(Clone)]
+struct NodeShared<Ev> {
+    topology: Topology,
+    /// One protocol configuration per shard; its length is `K`.
+    shard_cfgs: Arc<[ProtocolConfig]>,
+    tick: Duration,
+    tag: Tag<Ev>,
+    events_tx: Sender<Ev>,
+    counters: Arc<Counters>,
+}
+
+/// The node threads of a running cluster, the senders that steer them,
+/// their merged event stream and the counters they update. Dropping it
+/// stops and joins every thread.
+struct Core<Ev: Clone + Send + 'static> {
+    senders: Vec<Sender<Control>>,
+    events_rx: Receiver<Ev>,
+    threads: Vec<JoinHandle<CloseReport>>,
+    counters: Arc<Counters>,
+}
+
+impl<Ev: Clone + Send + 'static> Core<Ev> {
+    /// Starts `n` node threads on transport `T`, each hosting one instance
+    /// of `P` per entry of `shard_cfgs`.
+    fn start<P: WireProtocol, T: Transport>(
+        n: usize,
+        shard_cfgs: Vec<ProtocolConfig>,
+        tick: Duration,
+        seed: u64,
+        tag: Tag<Ev>,
+    ) -> std::io::Result<Self> {
+        assert!(n > 0, "cluster needs at least one node");
+        let endpoints = T::endpoints(n)?;
+        let (events_tx, events_rx) = channel();
+        let counters = Arc::new(Counters {
+            grants: Mutex::new(vec![0u64; n * shard_cfgs.len()]),
+            ..Counters::default()
+        });
+        let shared = NodeShared {
+            topology: Topology::ring(n),
+            shard_cfgs: shard_cfgs.into(),
+            tick,
+            tag,
+            events_tx,
+            counters: Arc::clone(&counters),
+        };
+        let mut senders = Vec::with_capacity(n);
+        let mut threads = Vec::with_capacity(n);
+        for (i, endpoint) in endpoints.into_iter().enumerate() {
+            let (tx, rx) = channel();
+            senders.push(tx);
+            let id = NodeId::new(i as u32);
+            let seed = seed.wrapping_add(i as u64);
+            let shared = shared.clone();
+            threads.push(std::thread::spawn(move || {
+                node_main::<P, T::Endpoint, Ev>(id, seed, rx, endpoint, shared)
+            }));
+        }
+        Ok(Core {
+            senders,
+            events_rx,
+            threads,
+            counters,
+        })
+    }
+
+    /// Blocks until an event matching `hit` arrives, or `timeout` elapses.
+    /// Other events arriving in between are discarded.
+    fn await_event(&self, timeout: Duration, hit: impl Fn(&Ev) -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            match self.events_rx.recv_timeout(left) {
+                Ok(ev) if hit(&ev) => return true,
+                Ok(_) => {}
+                Err(_) => return false,
+            }
+        }
+        false
+    }
+
+    /// The `n × K` grant counters observed so far.
+    fn grant_matrix(&self) -> Vec<u64> {
+        self.counters
+            .grants
+            .lock()
+            .expect("grant counters poisoned")
+            .clone()
+    }
+
+    /// Stops every node thread, waits for them to exit, and returns each
+    /// node's transport teardown report.
+    fn join_all(&mut self) -> Vec<CloseReport> {
+        for tx in &self.senders {
+            let _ = tx.send(Control::Shutdown);
+        }
+        self.threads
+            .drain(..)
+            .map(|t| t.join().unwrap_or_default())
+            .collect()
+    }
+}
+
+impl<Ev: Clone + Send + 'static> Drop for Core<Ev> {
+    fn drop(&mut self) {
+        self.join_all();
+    }
+}
+
 /// A handle for injecting requests into one node of a running [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterHandle {
@@ -160,18 +271,16 @@ impl ClusterHandle {
     /// Makes the node ready: it will acquire the token and broadcast
     /// `payload`. Watch the cluster's event stream for the grant.
     pub fn want(&self, payload: u64) {
-        let _ = self.tx.send(Control::External(Want::new(payload)));
+        let want = Want::new(payload);
+        let _ = self.tx.send(Control::External(ShardId(0), want));
     }
 }
 
-/// A running multi-threaded token-passing cluster.
+/// A running multi-threaded token-passing cluster: the single-shard case
+/// of the node loop [`ShardedCluster`] also runs, with node-addressed
+/// requests.
 pub struct Cluster<P: WireProtocol = BinaryNode> {
-    senders: Vec<Sender<Control>>,
-    events_rx: Receiver<(NodeId, TokenEvent)>,
-    threads: Vec<JoinHandle<CloseReport>>,
-    grants: Arc<Mutex<Vec<u64>>>,
-    decode_errors: Arc<AtomicU64>,
-    frames_lost: Arc<AtomicU64>,
+    core: Core<(NodeId, TokenEvent)>,
     _protocol: std::marker::PhantomData<P>,
 }
 
@@ -179,8 +288,8 @@ impl<P: WireProtocol> std::fmt::Debug for Cluster<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("protocol", &P::LABEL)
-            .field("n", &self.senders.len())
-            .field("grants", &*self.grants.lock().unwrap())
+            .field("n", &self.len())
+            .field("grants", &self.grants())
             .finish()
     }
 }
@@ -207,62 +316,24 @@ impl<P: WireProtocol> Cluster<P> {
     ///
     /// Panics if `config.n == 0`.
     pub fn start_on<T: Transport>(config: ClusterConfig) -> std::io::Result<Self> {
-        assert!(config.n > 0, "cluster needs at least one node");
-        let topology = Topology::ring(config.n);
-        let endpoints = T::endpoints(config.n)?;
-        let (events_tx, events_rx) = channel();
-        let mut senders = Vec::with_capacity(config.n);
-        let mut receivers = Vec::with_capacity(config.n);
-        for _ in 0..config.n {
-            let (tx, rx) = channel::<Control>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let grants = Arc::new(Mutex::new(vec![0u64; config.n]));
-        let decode_errors = Arc::new(AtomicU64::new(0));
-        let frames_lost = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::with_capacity(config.n);
-        for (i, (rx, endpoint)) in receivers.into_iter().zip(endpoints).enumerate() {
-            let id = NodeId::new(i as u32);
-            let cfg = config.protocol;
-            let tick = config.tick;
-            let seed = config.seed.wrapping_add(i as u64);
-            let drop_p = config.control_drop_p;
-            let events_tx = events_tx.clone();
-            let grants = Arc::clone(&grants);
-            let decode_errors = Arc::clone(&decode_errors);
-            let frames_lost = Arc::clone(&frames_lost);
-            threads.push(std::thread::spawn(move || {
-                node_main::<P, T::Endpoint>(
-                    id,
-                    topology,
-                    cfg,
-                    tick,
-                    seed,
-                    drop_p,
-                    rx,
-                    endpoint,
-                    events_tx,
-                    grants,
-                    decode_errors,
-                    frames_lost,
-                )
-            }));
-        }
+        // One shard with the configuration as given, so the token is
+        // minted wherever `config.protocol` says (node 0 by default).
+        let core = Core::start::<P, T>(
+            config.n,
+            vec![config.protocol],
+            config.tick,
+            config.seed,
+            |_, node, ev| (node, ev),
+        )?;
         Ok(Cluster {
-            senders,
-            events_rx,
-            threads,
-            grants,
-            decode_errors,
-            frames_lost,
+            core,
             _protocol: std::marker::PhantomData,
         })
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.senders.len()
+        self.core.senders.len()
     }
 
     /// Always `false`: clusters have at least one node.
@@ -278,7 +349,7 @@ impl<P: WireProtocol> Cluster<P> {
     pub fn handle(&self, node: NodeId) -> ClusterHandle {
         ClusterHandle {
             node,
-            tx: self.senders[node.index()].clone(),
+            tx: self.core.senders[node.index()].clone(),
         }
     }
 
@@ -290,29 +361,21 @@ impl<P: WireProtocol> Cluster<P> {
 
     /// The merged event stream of all nodes.
     pub fn events(&self) -> &Receiver<(NodeId, TokenEvent)> {
-        &self.events_rx
+        &self.core.events_rx
     }
 
     /// Blocks until `node` reports a grant, or `timeout` elapses.
     /// Other events arriving in between are discarded.
     pub fn await_grant(&self, node: NodeId, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            match self.events_rx.recv_timeout(deadline - now) {
-                Ok((who, TokenEvent::Granted { .. })) if who == node => return true,
-                Ok(_) => continue,
-                Err(_) => return false,
-            }
-        }
+        self.core.await_event(timeout, |(who, ev)| {
+            *who == node && matches!(ev, TokenEvent::Granted { .. })
+        })
     }
 
     /// Per-node grant counters observed so far.
     pub fn grants(&self) -> Vec<u64> {
-        self.grants.lock().unwrap().clone()
+        // With K = 1 the `n × K` matrix is already one counter per node.
+        self.core.grant_matrix()
     }
 
     /// Inbound frames that failed to decode (and were dropped). Nonzero
@@ -320,152 +383,21 @@ impl<P: WireProtocol> Cluster<P> {
     /// protocol frames; the protocol's retransmit machinery covers any
     /// real frame mangled in transit.
     pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
+        self.core.counters.decode_errors.load(Ordering::Relaxed)
     }
 
     /// Frames the transport dropped (unreachable peers, severed streams),
     /// summed over all nodes.
     pub fn frames_lost(&self) -> u64 {
-        self.frames_lost.load(Ordering::Relaxed)
+        self.core.counters.frames_lost.load(Ordering::Relaxed)
     }
 
     /// Stops every node thread, waits for them to exit, and returns each
     /// node's transport teardown report (assert
     /// [`CloseReport::is_clean`] to prove no thread leaked).
     pub fn shutdown(mut self) -> Vec<CloseReport> {
-        for tx in &self.senders {
-            let _ = tx.send(Control::Shutdown);
-        }
-        self.threads.drain(..).map(|t| t.join().unwrap_or_default()).collect()
+        self.core.join_all()
     }
-}
-
-impl<P: WireProtocol> Drop for Cluster<P> {
-    fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(Control::Shutdown);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn node_main<P: WireProtocol, E: Endpoint>(
-    id: NodeId,
-    topology: Topology,
-    cfg: ProtocolConfig,
-    tick: Duration,
-    seed: u64,
-    control_drop_p: f64,
-    rx: Receiver<Control>,
-    mut endpoint: E,
-    events_tx: Sender<(NodeId, TokenEvent)>,
-    grants: Arc<Mutex<Vec<u64>>>,
-    decode_errors: Arc<AtomicU64>,
-    frames_lost: Arc<AtomicU64>,
-) -> CloseReport {
-    let mut drop_rng = StdRng::seed_from_u64(seed ^ 0xD0D0_CACA);
-    let start = Instant::now();
-    let ticks_now = |start: Instant| -> SimTime {
-        let t = start.elapsed().as_nanos() / tick.as_nanos().max(1);
-        SimTime::from_ticks(t as u64)
-    };
-    let mut harness = Harness::new(id, topology, P::build(cfg), seed);
-    let mut heap: BinaryHeap<DueEntry> = BinaryHeap::new();
-    let mut seq = 0u64;
-    harness.init(ticks_now(start));
-
-    loop {
-        // Flush effects of the last dispatch. Events go out *before* any
-        // outbound frames: once the token frame is on the wire, the receiver
-        // can grant and publish its event, so publishing our own events
-        // first is what keeps the merged event stream causally ordered
-        // (Released always observed before the next Granted).
-        for ev in harness.node_mut().take_events() {
-            if matches!(ev, TokenEvent::Granted { .. }) {
-                grants.lock().unwrap()[id.index()] += 1;
-            }
-            let _ = events_tx.send((id, ev));
-        }
-        let mut staged = false;
-        for ob in harness.take_outbound() {
-            if control_drop_p > 0.0
-                && ob.class == MsgClass::Control
-                && drop_rng.gen_bool(control_drop_p)
-            {
-                continue; // the cheap channel lost it
-            }
-            let frame = P::encode_msg(&ob.msg);
-            if ob.hold == 0 {
-                endpoint.stage(ob.to, &frame);
-                staged = true;
-            } else {
-                seq += 1;
-                heap.push(DueEntry {
-                    at: Instant::now() + tick * ob.hold as u32,
-                    seq,
-                    what: Due::Send { to: ob.to, frame },
-                });
-            }
-        }
-        if staged {
-            endpoint.flush();
-        }
-        for t in harness.take_timers() {
-            seq += 1;
-            heap.push(DueEntry {
-                at: Instant::now() + tick * t.delay as u32,
-                seq,
-                what: Due::Timer { kind: t.kind },
-            });
-        }
-        // Fire overdue entries.
-        let now = Instant::now();
-        if let Some(head) = heap.peek() {
-            if head.at <= now {
-                let entry = heap.pop().expect("peeked");
-                match entry.what {
-                    Due::Timer { kind } => harness.fire_timer(ticks_now(start), kind),
-                    Due::Send { to, frame } => {
-                        endpoint.stage(to, &frame);
-                        endpoint.flush();
-                    }
-                }
-                continue;
-            }
-        }
-
-        // Control plane first (non-blocking), then block on the data plane
-        // until the next due entry (capped so control stays responsive).
-        match rx.try_recv() {
-            Ok(Control::External(want)) => {
-                harness.external(ticks_now(start), want);
-                continue;
-            }
-            Ok(Control::Shutdown) | Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {}
-        }
-        let wait = heap
-            .peek()
-            .map(|e| e.at.saturating_duration_since(now))
-            .unwrap_or(Duration::from_millis(5))
-            .min(Duration::from_millis(5));
-        if let Some((from, frame)) = endpoint.recv_timeout(wait) {
-            match P::decode_msg(&frame) {
-                Ok(msg) => harness.deliver(ticks_now(start), from, msg),
-                // Untrusted bytes: count and drop, never panic. The sender's
-                // retransmit layer re-covers anything that mattered.
-                Err(_) => {
-                    decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-    let report = endpoint.close();
-    frames_lost.fetch_add(endpoint.frames_lost(), Ordering::Relaxed);
-    report
 }
 
 /// Configuration for a [`ShardedCluster`].
@@ -517,11 +449,6 @@ impl ShardedClusterConfig {
     }
 }
 
-enum ShardControl {
-    External(ShardId, Want),
-    Shutdown,
-}
-
 /// A running multi-token cluster: `K` independent instances of protocol
 /// `P` multiplexed over one transport, with **key-addressed** requests.
 ///
@@ -545,11 +472,7 @@ enum ShardControl {
 /// ```
 pub struct ShardedCluster<P: WireProtocol = BinaryNode> {
     map: ShardMap,
-    senders: Vec<Sender<ShardControl>>,
-    events_rx: Receiver<(ShardId, NodeId, TokenEvent)>,
-    threads: Vec<JoinHandle<CloseReport>>,
-    grants: Arc<Mutex<Vec<u64>>>,
-    decode_errors: Arc<AtomicU64>,
+    core: Core<(ShardId, NodeId, TokenEvent)>,
     _protocol: std::marker::PhantomData<P>,
 }
 
@@ -557,7 +480,7 @@ impl<P: WireProtocol> std::fmt::Debug for ShardedCluster<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCluster")
             .field("protocol", &P::LABEL)
-            .field("n", &self.senders.len())
+            .field("n", &self.len())
             .field("shards", &self.map.shards())
             .finish()
     }
@@ -584,53 +507,21 @@ impl<P: WireProtocol> ShardedCluster<P> {
     ///
     /// Panics if `config.n == 0` or `config.shards == 0`.
     pub fn start_on<T: Transport>(config: ShardedClusterConfig) -> std::io::Result<Self> {
-        assert!(config.n > 0, "cluster needs at least one node");
         let map = ShardMap::new(config.shards, config.n);
-        let topology = Topology::ring(config.n);
-        let endpoints = T::endpoints(config.n)?;
-        let (events_tx, events_rx) = channel();
-        let mut senders = Vec::with_capacity(config.n);
-        let mut receivers = Vec::with_capacity(config.n);
-        for _ in 0..config.n {
-            let (tx, rx) = channel::<ShardControl>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let grants = Arc::new(Mutex::new(vec![0u64; config.shards as usize]));
-        let decode_errors = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::with_capacity(config.n);
-        for (i, (rx, endpoint)) in receivers.into_iter().zip(endpoints).enumerate() {
-            let id = NodeId::new(i as u32);
-            let map = map.clone();
-            let cfg = config.protocol;
-            let tick = config.tick;
-            let seed = config.seed.wrapping_add(i as u64);
-            let events_tx = events_tx.clone();
-            let grants = Arc::clone(&grants);
-            let decode_errors = Arc::clone(&decode_errors);
-            threads.push(std::thread::spawn(move || {
-                sharded_node_main::<P, T::Endpoint>(
-                    id,
-                    topology,
-                    map,
-                    cfg,
-                    tick,
-                    seed,
-                    rx,
-                    endpoint,
-                    events_tx,
-                    grants,
-                    decode_errors,
-                )
-            }));
-        }
+        // Each shard mints its token at its consistent-hash home.
+        let shard_cfgs = (0..config.shards)
+            .map(|s| config.protocol.with_initial_holder(map.owner(ShardId(s))))
+            .collect();
+        let core = Core::start::<P, T>(
+            config.n,
+            shard_cfgs,
+            config.tick,
+            config.seed,
+            |shard, node, ev| (shard, node, ev),
+        )?;
         Ok(ShardedCluster {
             map,
-            senders,
-            events_rx,
-            threads,
-            grants,
-            decode_errors,
+            core,
             _protocol: std::marker::PhantomData,
         })
     }
@@ -642,7 +533,7 @@ impl<P: WireProtocol> ShardedCluster<P> {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.senders.len()
+        self.core.senders.len()
     }
 
     /// Always `false`: clusters have at least one node.
@@ -656,128 +547,78 @@ impl<P: WireProtocol> ShardedCluster<P> {
     pub fn request(&self, key: u64, payload: u64) -> ShardId {
         let shard = self.map.shard_of_key(key);
         let home = self.map.home(shard);
-        let _ = self.senders[home.index()].send(ShardControl::External(shard, Want::new(payload)));
+        let _ = self.core.senders[home.index()].send(Control::External(shard, Want::new(payload)));
         shard
     }
 
     /// The merged event stream of all shards on all nodes.
     pub fn events(&self) -> &Receiver<(ShardId, NodeId, TokenEvent)> {
-        &self.events_rx
+        &self.core.events_rx
     }
 
     /// Blocks until `key`'s shard reports a grant, or `timeout` elapses.
     pub fn await_grant(&self, key: u64, timeout: Duration) -> bool {
         let shard = self.map.shard_of_key(key);
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            match self.events_rx.recv_timeout(deadline - now) {
-                Ok((s, _, TokenEvent::Granted { .. })) if s == shard => return true,
-                Ok(_) => continue,
-                Err(_) => return false,
-            }
-        }
+        self.core.await_event(timeout, |(s, _, ev)| {
+            *s == shard && matches!(ev, TokenEvent::Granted { .. })
+        })
     }
 
     /// Per-shard grant counters observed so far.
     pub fn grants(&self) -> Vec<u64> {
-        self.grants.lock().unwrap().clone()
+        let matrix = self.core.grant_matrix();
+        let k = usize::from(self.map.shards());
+        (0..k)
+            .map(|s| matrix.iter().skip(s).step_by(k).sum())
+            .collect()
     }
 
     /// Inbound frames that failed to decode (bad envelope, unknown shard
     /// id, or inner-frame garbage), summed over all nodes.
     pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.load(Ordering::Relaxed)
+        self.core.counters.decode_errors.load(Ordering::Relaxed)
     }
 
     /// Stops every node thread and returns each node's transport
     /// teardown report.
     pub fn shutdown(mut self) -> Vec<CloseReport> {
-        for tx in &self.senders {
-            let _ = tx.send(ShardControl::Shutdown);
-        }
-        self.threads.drain(..).map(|t| t.join().unwrap_or_default()).collect()
+        self.core.join_all()
     }
 }
 
-impl<P: WireProtocol> Drop for ShardedCluster<P> {
-    fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(ShardControl::Shutdown);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-enum ShardDue {
-    Timer { shard: ShardId, kind: u64 },
-    Send { to: NodeId, frame: Vec<u8> },
-}
-
-struct ShardDueEntry {
-    at: Instant,
-    seq: u64,
-    what: ShardDue,
-}
-
-impl PartialEq for ShardDueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for ShardDueEntry {}
-impl PartialOrd for ShardDueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ShardDueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (at, seq).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sharded_node_main<P: WireProtocol, E: Endpoint>(
+/// One node thread: `K` protocol instances (one [`Harness`] per shard)
+/// sharing one endpoint, one control channel and one due-time heap.
+fn node_main<P: WireProtocol, E: Endpoint, Ev>(
     id: NodeId,
-    topology: Topology,
-    map: ShardMap,
-    cfg: ProtocolConfig,
-    tick: Duration,
     seed: u64,
-    rx: Receiver<ShardControl>,
+    rx: Receiver<Control>,
     mut endpoint: E,
-    events_tx: Sender<(ShardId, NodeId, TokenEvent)>,
-    grants: Arc<Mutex<Vec<u64>>>,
-    decode_errors: Arc<AtomicU64>,
+    shared: NodeShared<Ev>,
 ) -> CloseReport {
+    let counters = &shared.counters;
     let start = Instant::now();
     let ticks_now = |start: Instant| -> SimTime {
-        let t = start.elapsed().as_nanos() / tick.as_nanos().max(1);
+        let t = start.elapsed().as_nanos() / shared.tick.as_nanos().max(1);
         SimTime::from_ticks(t as u64)
     };
     // One protocol instance per shard, each with its own token home, its
     // own generation space (shards never share frames), and a
-    // shard-namespaced RNG seed.
-    let k = map.shards();
-    let mut harnesses: Vec<Harness<P>> = (0..k)
-        .map(|s| {
-            let shard_cfg = cfg.with_initial_holder(map.owner(ShardId(s)));
+    // shard-namespaced RNG seed (shard 0 keeps the node's seed as is).
+    let k = shared.shard_cfgs.len();
+    let mut harnesses: Vec<Harness<P>> = shared
+        .shard_cfgs
+        .iter()
+        .enumerate()
+        .map(|(s, &cfg)| {
             Harness::new(
                 id,
-                topology,
-                P::build(shard_cfg),
-                seed ^ (u64::from(s) << 32),
+                shared.topology,
+                P::build(cfg),
+                seed ^ ((s as u64) << 32),
             )
         })
         .collect();
-    let mut heap: BinaryHeap<ShardDueEntry> = BinaryHeap::new();
+    let mut heap: BinaryHeap<DueEntry> = BinaryHeap::new();
     let mut seq = 0u64;
     let now0 = ticks_now(start);
     for h in harnesses.iter_mut() {
@@ -785,37 +626,42 @@ fn sharded_node_main<P: WireProtocol, E: Endpoint>(
     }
 
     loop {
-        // Flush effects of the last dispatch, shard by shard; events
-        // before frames, as in the single-token runtime.
+        // Flush effects of the last dispatch, shard by shard. Events go
+        // out *before* any outbound frames: once the token frame is on the
+        // wire, the receiver can grant and publish its event, so
+        // publishing our own events first is what keeps the merged event
+        // stream causally ordered (Released always observed before the
+        // next Granted).
         let mut staged = false;
         for (s, harness) in harnesses.iter_mut().enumerate() {
             let shard = ShardId(s as u16);
             for ev in harness.node_mut().take_events() {
                 if matches!(ev, TokenEvent::Granted { .. }) {
-                    grants.lock().unwrap()[shard.index()] += 1;
+                    let mut grants = counters.grants.lock().expect("grant counters poisoned");
+                    grants[id.index() * k + s] += 1;
                 }
-                let _ = events_tx.send((shard, id, ev));
+                let _ = shared.events_tx.send((shared.tag)(shard, id, ev));
             }
             for ob in harness.take_outbound() {
-                let frame = crate::codec::encode_shard_frame(shard.0, &P::encode_msg(&ob.msg));
+                let frame = encode_shard_frame(shard.0, &P::encode_msg(&ob.msg));
                 if ob.hold == 0 {
                     endpoint.stage(ob.to, &frame);
                     staged = true;
                 } else {
                     seq += 1;
-                    heap.push(ShardDueEntry {
-                        at: Instant::now() + tick * ob.hold as u32,
+                    heap.push(DueEntry {
+                        at: Instant::now() + shared.tick * ob.hold as u32,
                         seq,
-                        what: ShardDue::Send { to: ob.to, frame },
+                        what: Due::Send { to: ob.to, frame },
                     });
                 }
             }
             for t in harness.take_timers() {
                 seq += 1;
-                heap.push(ShardDueEntry {
-                    at: Instant::now() + tick * t.delay as u32,
+                heap.push(DueEntry {
+                    at: Instant::now() + shared.tick * t.delay as u32,
                     seq,
-                    what: ShardDue::Timer {
+                    what: Due::Timer {
                         shard,
                         kind: t.kind,
                     },
@@ -831,10 +677,10 @@ fn sharded_node_main<P: WireProtocol, E: Endpoint>(
             if head.at <= now {
                 let entry = heap.pop().expect("peeked");
                 match entry.what {
-                    ShardDue::Timer { shard, kind } => {
+                    Due::Timer { shard, kind } => {
                         harnesses[shard.index()].fire_timer(ticks_now(start), kind)
                     }
-                    ShardDue::Send { to, frame } => {
+                    Due::Send { to, frame } => {
                         endpoint.stage(to, &frame);
                         endpoint.flush();
                     }
@@ -843,12 +689,14 @@ fn sharded_node_main<P: WireProtocol, E: Endpoint>(
             }
         }
 
+        // Control plane first (non-blocking), then block on the data plane
+        // until the next due entry (capped so control stays responsive).
         match rx.try_recv() {
-            Ok(ShardControl::External(shard, want)) => {
+            Ok(Control::External(shard, want)) => {
                 harnesses[shard.index()].external(ticks_now(start), want);
                 continue;
             }
-            Ok(ShardControl::Shutdown) | Err(TryRecvError::Disconnected) => break,
+            Ok(Control::Shutdown) | Err(TryRecvError::Disconnected) => break,
             Err(TryRecvError::Empty) => {}
         }
         let wait = heap
@@ -860,20 +708,26 @@ fn sharded_node_main<P: WireProtocol, E: Endpoint>(
             // Untrusted network input, two layers deep: a bad envelope,
             // an out-of-range shard id, or inner garbage each count and
             // drop — one shard's garbage never reaches another's state.
-            match crate::codec::decode_shard_frame(&frame) {
-                Ok((s, inner)) if (s as usize) < harnesses.len() => match P::decode_msg(inner) {
+            // The sender's retransmit layer re-covers anything that
+            // mattered.
+            match decode_shard_frame(&frame) {
+                Ok((s, inner)) if (s as usize) < k => match P::decode_msg(inner) {
                     Ok(msg) => harnesses[s as usize].deliver(ticks_now(start), from, msg),
                     Err(_) => {
-                        decode_errors.fetch_add(1, Ordering::Relaxed);
+                        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                     }
                 },
                 _ => {
-                    decode_errors.fetch_add(1, Ordering::Relaxed);
+                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
     }
-    endpoint.close()
+    let report = endpoint.close();
+    counters
+        .frames_lost
+        .fetch_add(endpoint.frames_lost(), Ordering::Relaxed);
+    report
 }
 
 #[cfg(test)]
@@ -881,6 +735,7 @@ mod tests {
     use super::*;
     use atp_net::ChanEndpoint;
 
+    use crate::binary::BinaryMsg;
     use crate::naimi::NaimiNode;
     use crate::ring::RingNode;
     use crate::search::SearchNode;
@@ -910,21 +765,7 @@ mod tests {
             }
         }
         assert_eq!(granted, [true; 4]);
-        let grants = cluster.grants();
-        assert_eq!(grants.iter().sum::<u64>(), 4);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn cluster_survives_total_cheap_loss() {
-        // All search traffic lost: the rotating token still serves.
-        let cluster: Cluster = Cluster::start(
-            ClusterConfig::new(3)
-                .with_tick(Duration::from_micros(200))
-                .with_control_drop(1.0),
-        );
-        cluster.request(NodeId::new(2), 9);
-        assert!(cluster.await_grant(NodeId::new(2), Duration::from_secs(15)));
+        assert_eq!(cluster.grants(), vec![1, 1, 1, 1], "one grant per node");
         cluster.shutdown();
     }
 
@@ -960,15 +801,33 @@ mod tests {
         serve_one::<NaimiNode>();
     }
 
+    /// The undecodable frames node 0 reads before any real frame: byte
+    /// soup with no envelope tag, an envelope naming a shard no cluster
+    /// here has, an envelope cut short after its tag, and a well-formed
+    /// envelope around inner garbage.
+    fn garbage_frames() -> Vec<Vec<u8>> {
+        // 0xff is no protocol's tag and not the envelope's.
+        let soup = vec![0xff, 0xee, 0xdd];
+        let mut frames = vec![soup.clone(); 10];
+        let probe = BinaryMsg::ProbeReq {
+            holder: NodeId::new(1),
+            span: 1,
+        };
+        frames.push(encode_shard_frame(u16::MAX, &BinaryNode::encode_msg(&probe)));
+        frames.push(encode_shard_frame(0, &[])[..1].to_vec());
+        frames.push(encode_shard_frame(0, &soup));
+        frames
+    }
+
     /// A transport that delivers byte soup alongside real traffic: node 0's
-    /// endpoint yields a stream of undecodable frames before every real
-    /// receive. The cluster must count them and keep serving — the
-    /// network-facing decode path never panics on garbage.
+    /// endpoint yields [`garbage_frames`] before any real receive. The
+    /// cluster must count them and keep serving — the network-facing
+    /// decode path never panics on garbage.
     struct GarbageChanTransport;
 
     struct GarbageEndpoint {
         inner: ChanEndpoint,
-        garbage_left: u32,
+        garbage: Vec<Vec<u8>>,
     }
 
     impl Endpoint for GarbageEndpoint {
@@ -982,11 +841,9 @@ mod tests {
             self.inner.flush();
         }
         fn recv_timeout(&mut self, timeout: Duration) -> Option<(NodeId, Vec<u8>)> {
-            if self.garbage_left > 0 {
-                self.garbage_left -= 1;
-                // 0xff is no protocol's tag; a valid sender id keeps the
-                // blame on the payload.
-                return Some((NodeId::new(1), vec![0xff, 0xee, 0xdd]));
+            // A valid sender id keeps the blame on the payload.
+            if let Some(frame) = self.garbage.pop() {
+                return Some((NodeId::new(1), frame));
             }
             self.inner.recv_timeout(timeout)
         }
@@ -1009,25 +866,64 @@ mod tests {
                 .enumerate()
                 .map(|(i, inner)| GarbageEndpoint {
                     inner,
-                    garbage_left: if i == 0 { 10 } else { 0 },
+                    garbage: if i == 0 { garbage_frames() } else { Vec::new() },
                 })
                 .collect())
         }
     }
 
+    /// Waits (bounded) until `count` reaches `want`, then returns it. Node
+    /// 0 reads its garbage on its first idle polls, but a request served
+    /// elsewhere need not wait for that.
+    fn settled(count: impl Fn() -> u64, want: u64) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while count() < want && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        count()
+    }
+
     #[test]
     fn garbage_frames_are_counted_and_service_continues() {
+        let injected = garbage_frames().len() as u64;
+        let tick = Duration::from_micros(200);
+
         let cluster: Cluster = Cluster::start_on::<GarbageChanTransport>(
-            ClusterConfig::new(3).with_tick(Duration::from_micros(200)),
+            ClusterConfig::new(3).with_tick(tick),
         )
         .expect("channel transport is infallible");
+        let counted = settled(|| cluster.decode_errors(), injected);
+        assert_eq!(counted, injected, "every garbage frame counted");
         cluster.request(NodeId::new(2), 42);
         assert!(
             cluster.await_grant(NodeId::new(2), Duration::from_secs(15)),
             "garbage frames must not stall the cluster"
         );
-        assert_eq!(cluster.decode_errors(), 10, "every garbage frame counted");
-        cluster.shutdown();
+        assert_eq!(cluster.decode_errors(), injected);
+        for report in cluster.shutdown() {
+            assert!(report.is_clean());
+        }
+
+        let sharded: ShardedCluster = ShardedCluster::start_on::<GarbageChanTransport>(
+            ShardedClusterConfig::new(3, 2).with_tick(tick),
+        )
+        .expect("channel transport is infallible");
+        let counted = settled(|| sharded.decode_errors(), injected);
+        assert_eq!(counted, injected, "every garbage frame counted");
+        for s in 0..2 {
+            let key = (0u64..)
+                .find(|&k| sharded.map().shard_of_key(k).0 == s)
+                .expect("every shard owns some key");
+            sharded.request(key, key);
+            assert!(
+                sharded.await_grant(key, Duration::from_secs(15)),
+                "garbage frames must not stall shard {s}"
+            );
+        }
+        assert_eq!(sharded.decode_errors(), injected);
+        for report in sharded.shutdown() {
+            assert!(report.is_clean());
+        }
     }
 
     #[test]

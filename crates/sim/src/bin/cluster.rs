@@ -11,7 +11,8 @@
 //! the report gives throughput and latency percentiles. With `--shards K`
 //! (K > 1) the benchmark runs the sharded plane instead: requests are
 //! key-addressed (`--key-dist uniform|zipf`), routed by hash to their
-//! shard's protocol instance.
+//! shard's protocol instance. Either benchmark exits with status 1 on a
+//! request timeout, a decode error, or a leaked thread.
 //!
 //! `--conform` instead runs the deterministic conformance check used by CI:
 //! the pinned reference script is driven over the chosen transport and the
@@ -311,29 +312,7 @@ fn bench<P: WireProtocol, T: Transport>(args: &Args) {
         eprintln!("cluster: transport setup failed: {e}");
         std::process::exit(1);
     });
-    let mut latencies = Vec::with_capacity(args.requests as usize);
-    let start = Instant::now();
-    for k in 0..args.requests {
-        let node = NodeId::new((k % args.n as u64) as u32);
-        let issued = Instant::now();
-        cluster.request(node, k);
-        if !cluster.await_grant(node, Duration::from_secs(30)) {
-            eprintln!("cluster: request {k} to node {node:?} timed out");
-            std::process::exit(1);
-        }
-        latencies.push(issued.elapsed());
-    }
-    let elapsed = start.elapsed();
-    let decode_errors = cluster.decode_errors();
-    let reports = cluster.shutdown();
-    let clean = reports.iter().all(|r| r.is_clean());
-
-    latencies.sort_unstable();
-    let pct = |p: f64| -> Duration {
-        let idx = ((latencies.len() as f64) * p).ceil() as usize;
-        latencies[idx.clamp(1, latencies.len()) - 1]
-    };
-    println!(
+    let header = format!(
         "cluster protocol={} transport={} n={} requests={} tick_us={}",
         P::LABEL,
         T::label(),
@@ -341,23 +320,19 @@ fn bench<P: WireProtocol, T: Transport>(args: &Args) {
         args.requests,
         args.tick_us
     );
-    println!(
-        "served {} requests in {:.3}s  ({:.1} req/s)",
-        args.requests,
-        elapsed.as_secs_f64(),
-        args.requests as f64 / elapsed.as_secs_f64()
-    );
-    println!(
-        "latency p50 {:.3}ms  p90 {:.3}ms  p99 {:.3}ms  max {:.3}ms",
-        pct(0.50).as_secs_f64() * 1e3,
-        pct(0.90).as_secs_f64() * 1e3,
-        pct(0.99).as_secs_f64() * 1e3,
-        latencies.last().expect("requests > 0").as_secs_f64() * 1e3
-    );
+    closed_loop(&header, args.requests, |k| {
+        let node = NodeId::new((k % args.n as u64) as u32);
+        cluster.request(node, k);
+        if cluster.await_grant(node, Duration::from_secs(30)) {
+            Ok(())
+        } else {
+            Err(format!("to node {node:?}"))
+        }
+    });
+    let decode_errors = cluster.decode_errors();
+    let clean = cluster.shutdown().iter().all(|r| r.is_clean());
     println!("decode_errors={decode_errors} clean_shutdown={clean}");
-    if !clean {
-        std::process::exit(1);
-    }
+    exit_unless_clean(decode_errors, clean);
 }
 
 /// Key-addressed closed-loop benchmark on the sharded plane: one
@@ -373,31 +348,7 @@ fn sharded_bench<P: WireProtocol, T: Transport>(args: &Args) {
         eprintln!("cluster: transport setup failed: {e}");
         std::process::exit(1);
     });
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let mut latencies = Vec::with_capacity(args.requests as usize);
-    let start = Instant::now();
-    for k in 0..args.requests {
-        let key = args.key_dist.draw(&mut rng, 4 * args.n.max(1));
-        let issued = Instant::now();
-        cluster.request(key, k);
-        if !cluster.await_grant(key, Duration::from_secs(30)) {
-            eprintln!("cluster: request {k} for key {key:#x} timed out");
-            std::process::exit(1);
-        }
-        latencies.push(issued.elapsed());
-    }
-    let elapsed = start.elapsed();
-    let per_shard = cluster.grants();
-    let decode_errors = cluster.decode_errors();
-    let reports = cluster.shutdown();
-    let clean = reports.iter().all(|r| r.is_clean());
-
-    latencies.sort_unstable();
-    let pct = |p: f64| -> Duration {
-        let idx = ((latencies.len() as f64) * p).ceil() as usize;
-        latencies[idx.clamp(1, latencies.len()) - 1]
-    };
-    println!(
+    let header = format!(
         "cluster protocol={} transport={} n={} shards={} key_dist={} requests={} tick_us={}",
         P::LABEL,
         T::label(),
@@ -407,11 +358,53 @@ fn sharded_bench<P: WireProtocol, T: Transport>(args: &Args) {
         args.requests,
         args.tick_us
     );
+    let mut rng = StdRng::seed_from_u64(args.seed);
+    closed_loop(&header, args.requests, |k| {
+        let key = args.key_dist.draw(&mut rng, 4 * args.n.max(1));
+        cluster.request(key, k);
+        if cluster.await_grant(key, Duration::from_secs(30)) {
+            Ok(())
+        } else {
+            Err(format!("for key {key:#x}"))
+        }
+    });
+    let per_shard = cluster.grants();
+    let decode_errors = cluster.decode_errors();
+    let clean = cluster.shutdown().iter().all(|r| r.is_clean());
+    println!(
+        "per_shard_grants={per_shard:?} decode_errors={decode_errors} clean_shutdown={clean}"
+    );
+    exit_unless_clean(decode_errors, clean);
+}
+
+/// The timing loop and report of both benchmark modes: `serve(k)` submits
+/// request `k` and waits for its grant, or names the request that timed
+/// out (exit status 1). Prints `header`, throughput and latency
+/// percentiles.
+fn closed_loop(header: &str, requests: u64, mut serve: impl FnMut(u64) -> Result<(), String>) {
+    let mut latencies = Vec::with_capacity(requests as usize);
+    let start = Instant::now();
+    for k in 0..requests {
+        let issued = Instant::now();
+        if let Err(which) = serve(k) {
+            eprintln!("cluster: request {k} {which} timed out");
+            std::process::exit(1);
+        }
+        latencies.push(issued.elapsed());
+    }
+    let elapsed = start.elapsed();
+
+    latencies.sort_unstable();
+    let pct = |p: f64| -> Duration {
+        let idx = ((latencies.len() as f64) * p).ceil() as usize;
+        latencies[idx.clamp(1, latencies.len()) - 1]
+    };
+    println!("{header}");
     println!(
         "served {} requests in {:.3}s  ({:.1} req/s)",
-        args.requests,
+        requests,
         elapsed.as_secs_f64(),
-        args.requests as f64 / elapsed.as_secs_f64()
+        requests as f64 / elapsed.as_secs_f64()
     );
     println!(
         "latency p50 {:.3}ms  p90 {:.3}ms  p99 {:.3}ms  max {:.3}ms",
@@ -420,10 +413,12 @@ fn sharded_bench<P: WireProtocol, T: Transport>(args: &Args) {
         pct(0.99).as_secs_f64() * 1e3,
         latencies.last().expect("requests > 0").as_secs_f64() * 1e3
     );
-    println!(
-        "per_shard_grants={per_shard:?} decode_errors={decode_errors} clean_shutdown={clean}"
-    );
-    if !clean {
+}
+
+/// Like `--conform`, a benchmark run fails (exit status 1) when any
+/// inbound frame failed to decode or a node thread leaked.
+fn exit_unless_clean(decode_errors: u64, clean: bool) {
+    if decode_errors > 0 || !clean {
         std::process::exit(1);
     }
 }
