@@ -37,11 +37,13 @@ echo "wrote BENCH_sweep.json ($(wc -l < BENCH_sweep.json) entries)"
 echo "== protocols bench artifact =="
 # The protocol-plane suite's JSON lines, kept the same way. It must carry
 # the per-possession microbenches: history application of a 1000-entry
-# carried window and hit/miss probes on a 4000-id satisfied window.
+# carried window (chained, and adopted from the token's digest memo) and
+# hit/miss probes on a 4000-id satisfied window.
 grep '^{"suite":"protocols"' "$BENCH_LOG" > BENCH_protocols.json
 rm -f "$BENCH_LOG"
 test -s BENCH_protocols.json
 grep -q '"name":"history_apply_window_1k"' BENCH_protocols.json
+grep -q '"name":"history_apply_window_1k_memo"' BENCH_protocols.json
 grep -q '"name":"satisfied_probe_window_4k"' BENCH_protocols.json
 echo "wrote BENCH_protocols.json ($(wc -l < BENCH_protocols.json) entries)"
 

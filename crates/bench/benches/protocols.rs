@@ -85,6 +85,21 @@ fn main() {
         order.apply_entries(&window, SimTime::ZERO);
         order.digest()
     });
+    // The same window appended to a token, which chains each entry once at
+    // append time: the node one lap behind adopts the token's digest memo.
+    let mut frame = TokenFrame::new(64);
+    for e in &window {
+        frame.append(e.origin, e.payload);
+    }
+    assert_eq!(frame.carried(), &window[..]);
+    let mut reference = OrderState::new(false);
+    reference.apply_entries(&window, SimTime::ZERO);
+    r.bench("history_apply_window_1k_memo", || {
+        let mut order = OrderState::new(false);
+        order.apply_frame_entries(&frame, SimTime::ZERO);
+        assert_eq!(order.digest(), reference.digest());
+        order.digest()
+    });
 
     // Satisfied-window membership: the probe Binary, Search and Naimi run
     // on every trap, gimme and possession, against a full 4000-id window

@@ -35,6 +35,22 @@ pub enum CodecError {
         /// The frame's satisfied-window cap.
         cap: u32,
     },
+    /// A token frame claims `next_seq == 0`; positions of `H` start at 1.
+    ZeroNextSeq,
+    /// A token frame's carried entries are not strictly consecutive.
+    CarriedNotConsecutive {
+        /// Seq of the earlier entry.
+        prev: u64,
+        /// Seq of the entry that follows it on the wire.
+        seq: u64,
+    },
+    /// A token frame's last carried entry is not `next_seq - 1`.
+    CarriedTailMismatch {
+        /// Seq of the last carried entry.
+        last: u64,
+        /// The frame's `next_seq`.
+        next_seq: u64,
+    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -44,6 +60,13 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown tag {t:#x}"),
             CodecError::SatisfiedOverCap { len, cap } => {
                 write!(f, "satisfied window of {len} ids exceeds its cap {cap}")
+            }
+            CodecError::ZeroNextSeq => write!(f, "token frame has next_seq 0"),
+            CodecError::CarriedNotConsecutive { prev, seq } => {
+                write!(f, "carried entry {seq} does not follow {prev}")
+            }
+            CodecError::CarriedTailMismatch { last, next_seq } => {
+                write!(f, "last carried entry {last} does not precede next_seq {next_seq}")
             }
         }
     }

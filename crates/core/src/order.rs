@@ -8,6 +8,7 @@
 //! nodes' prefixes in O(1) without retaining the entries.
 
 use crate::event::{EventBuf, TokenEvent};
+use crate::token::TokenFrame;
 use crate::types::LogEntry;
 use atp_net::SimTime;
 
@@ -26,13 +27,13 @@ impl HistoryDigest {
     /// Extends the digest with one entry.
     #[inline]
     pub fn chain(self, entry: &LogEntry) -> HistoryDigest {
-        // Every possession re-chains the carried window (~N/gap entries),
-        // so the loop-carried dependency is what bounds history
-        // application. The entry is first folded into one word that does
-        // not depend on the running digest — those multiplies overlap
-        // across consecutive entries — and only a single multiply-fold
-        // round is serial. Digest values are compared only within a run
-        // and never reach checked-in artifacts.
+        // A holder that cannot adopt the token's digest memo re-chains the
+        // carried window (~N/gap entries), so the loop-carried dependency
+        // bounds that fallback. The entry is first folded into one word
+        // that does not depend on the running digest — those multiplies
+        // overlap across consecutive entries — and only a single
+        // multiply-fold round is serial. Digest values are compared only
+        // within a run and never reach checked-in artifacts.
         let mut h = (self.0 ^ entry_word(entry)).wrapping_mul(K_CHAIN);
         h ^= h >> 32;
         HistoryDigest(h)
@@ -70,6 +71,9 @@ pub struct OrderState {
     /// Entries that arrived with `seq > applied_seq + 1` and had to be
     /// skipped (the node was down long enough to miss the carried window).
     gap_events: u64,
+    /// Digest chain steps run by the explicit apply loop (entries adopted
+    /// from a token's digest memo are not chained, so not counted).
+    chain_steps: u64,
     /// Test-only seeded fault: use an off-by-one duplicate-skip bound in
     /// [`OrderState::apply`]. See [`OrderState::enable_bad_prefix_skip`].
     bad_skip: bool,
@@ -85,6 +89,7 @@ impl OrderState {
             log: Vec::new(),
             record_log,
             gap_events: 0,
+            chain_steps: 0,
             bad_skip: false,
         }
     }
@@ -137,6 +142,47 @@ impl OrderState {
         self.bad_skip = true;
     }
 
+    /// Applies `token`'s carried window: the same result as
+    /// [`OrderState::apply`] on [`TokenFrame::carried`], in O(1) digest
+    /// work when the token knows its window's digests.
+    ///
+    /// The memo is adopted only when this node's prefix ends inside or just
+    /// before the window and its digest equals the memo's digest at that
+    /// length; since `memo[i] = chain(memo[i-1], carried[i])`, the loop
+    /// would then compute exactly the memo's digests. Every other case — a
+    /// lagging node with gaps, a diverged digest, a frame without a memo
+    /// (decoded or regenerated), the seeded `bad_prefix_skip` fault — runs
+    /// the explicit loop.
+    pub(crate) fn apply_frame(&mut self, token: &TokenFrame, at: SimTime, events: &mut EventBuf) {
+        let entries = token.carried();
+        if let (false, Some(first), Some((before, after))) =
+            (self.bad_skip, entries.first(), token.digest_memo())
+        {
+            // Memo frames are minted locally, so seqs start at 1 and are
+            // consecutive: `skip` entries of the window are already applied.
+            let skip = self
+                .applied_seq
+                .checked_sub(first.seq - 1)
+                .and_then(|s| usize::try_from(s).ok());
+            if let Some(skip) = skip.filter(|&s| s < entries.len()) {
+                let at_applied = if skip == 0 { before } else { after[skip - 1] };
+                if at_applied == self.digest {
+                    self.applied_seq = entries[entries.len() - 1].seq;
+                    self.digest = after[after.len() - 1];
+                    if self.record_log {
+                        for (entry, digest) in entries[skip..].iter().zip(&after[skip..]) {
+                            self.log.push(*entry);
+                            self.digests.push(*digest);
+                            events.push(TokenEvent::Delivered { entry: *entry, at });
+                        }
+                    }
+                    return;
+                }
+            }
+        }
+        self.apply(entries, at, events);
+    }
+
     /// Applies every entry in `entries` that directly extends the local
     /// prefix, emitting [`TokenEvent::Delivered`] into `events`.
     ///
@@ -166,6 +212,7 @@ impl OrderState {
         // Locals keep the serial chain step in registers instead of
         // round-tripping it through `self` on every entry.
         let (mut applied_seq, mut digest) = (self.applied_seq, self.digest);
+        let mut chained = 0;
         for entry in &entries[start..] {
             if entry.seq > applied_seq + 1 {
                 self.gap_events += 1;
@@ -173,6 +220,7 @@ impl OrderState {
             }
             applied_seq = entry.seq;
             digest = digest.chain(entry);
+            chained += 1;
             if self.record_log {
                 self.log.push(*entry);
                 self.digests.push(digest);
@@ -181,6 +229,7 @@ impl OrderState {
         }
         self.applied_seq = applied_seq;
         self.digest = digest;
+        self.chain_steps += chained;
     }
 
     /// [`OrderState::apply`] for callers outside the protocol handlers
@@ -189,6 +238,14 @@ impl OrderState {
     pub fn apply_entries(&mut self, entries: &[LogEntry], at: SimTime) -> Vec<TokenEvent> {
         let mut events = EventBuf::default();
         self.apply(entries, at, &mut events);
+        events.take()
+    }
+
+    /// [`OrderState::apply_frame`] for callers outside the protocol
+    /// handlers, like [`OrderState::apply_entries`].
+    pub fn apply_frame_entries(&mut self, token: &TokenFrame, at: SimTime) -> Vec<TokenEvent> {
+        let mut events = EventBuf::default();
+        self.apply_frame(token, at, &mut events);
         events.take()
     }
 
@@ -237,6 +294,12 @@ impl OrderState {
     /// Number of entries that could not be applied due to gaps.
     pub fn gap_events(&self) -> u64 {
         self.gap_events
+    }
+
+    /// Digest chain steps the explicit apply loop has run (a work counter:
+    /// entries adopted from a token's digest memo cost none).
+    pub fn chain_steps(&self) -> u64 {
+        self.chain_steps
     }
 
     /// Returns `true` when `self`'s applied history is a prefix of
@@ -373,6 +436,240 @@ mod tests {
         let d1 = HistoryDigest::EMPTY.chain(&entry(1, 1)).chain(&entry(2, 2));
         let d2 = HistoryDigest::EMPTY.chain(&entry(2, 2)).chain(&entry(1, 1));
         assert_ne!(d1, d2);
+    }
+
+    /// One step of the frame-side script in
+    /// [`apply_frame_matches_explicit_loop`].
+    #[derive(Debug, Clone, Copy)]
+    enum FrameOp {
+        Append { origin: u32, payload: u64 },
+        /// `on_possess` by `node`; rotational arrivals at node 0 run `gc`.
+        Possess { node: u32, rotational: bool },
+        KeepLast(usize),
+        Regenerate,
+        RoundTrip,
+        Clone,
+        /// Apply the frame at node `i % nodes`.
+        Apply(usize),
+    }
+
+    /// A node's starting point: how much of the initial history it has
+    /// applied, and whether a corrupted copy of it (diverged digest).
+    #[derive(Debug, Clone, Copy)]
+    struct NodeStart {
+        lag_from_end: usize,
+        record_log: bool,
+        diverged: bool,
+        bad_skip: bool,
+    }
+
+    #[derive(Debug)]
+    struct Script {
+        cap: usize,
+        initial: Vec<(u32, u64)>,
+        nodes: Vec<NodeStart>,
+        ops: Vec<FrameOp>,
+    }
+
+    fn arb_script(g: &mut atp_util::check::Gen) -> Script {
+        use atp_util::rng::Rng;
+        let initial = g.vec(0..24, |g| (g.gen_range(0u32..8), g.gen_range(0u64..1000)));
+        let len = initial.len();
+        let nodes = g.vec(1..6, |g| NodeStart {
+            // Lags up to the whole initial history, so after a `gc` some
+            // nodes lag beyond the carried window.
+            lag_from_end: g.gen_range(0..len + 1),
+            record_log: g.gen_bool(0.5),
+            diverged: g.gen_bool(0.2),
+            bad_skip: g.gen_bool(0.15),
+        });
+        let ops = g.vec(0..64, |g| match g.gen_range(0u32..16) {
+            0..=4 => FrameOp::Append {
+                origin: g.gen_range(0u32..8),
+                payload: g.gen_range(0u64..1000),
+            },
+            5..=7 => FrameOp::Possess {
+                node: g.gen_range(0u32..3),
+                rotational: g.gen_bool(0.8),
+            },
+            8 => FrameOp::KeepLast(g.gen_range(0usize..8)),
+            9 => FrameOp::Regenerate,
+            10 => FrameOp::RoundTrip,
+            11 => FrameOp::Clone,
+            _ => FrameOp::Apply(g.gen_range(0usize..8)),
+        });
+        Script {
+            cap: g.gen_range(1usize..8),
+            initial,
+            nodes,
+            ops,
+        }
+    }
+
+    /// Each node is a pair: one copy applies through the frame (memo fast
+    /// path when it applies), the other through the explicit loop.
+    fn assert_same(via_frame: &OrderState, reference: &OrderState) {
+        assert_eq!(via_frame.applied_seq(), reference.applied_seq());
+        assert_eq!(via_frame.digest(), reference.digest());
+        assert_eq!(via_frame.gap_events(), reference.gap_events());
+        assert_eq!(via_frame.log(), reference.log());
+        for len in 0..=reference.applied_seq() + 1 {
+            assert_eq!(via_frame.digest_at(len), reference.digest_at(len), "len {len}");
+        }
+        assert!(via_frame.chain_steps() <= reference.chain_steps());
+    }
+
+    /// Whether `frame` knows its digests and carries entries `node` lacks,
+    /// starting right after a prefix whose digest equals `node`'s.
+    fn memo_extends(frame: &TokenFrame, node: &OrderState) -> bool {
+        let (Some((before, after)), Some(first), Some(last)) = (
+            frame.digest_memo(),
+            frame.carried().first(),
+            frame.carried().last(),
+        ) else {
+            return false;
+        };
+        let applied = node.applied_seq();
+        if applied + 1 < first.seq || applied >= last.seq {
+            return false;
+        }
+        let memo_at = if applied + 1 == first.seq {
+            before
+        } else {
+            after[(applied - first.seq) as usize]
+        };
+        memo_at == node.digest()
+    }
+
+    /// Applying a token's carried window through the frame (and its digest
+    /// memo) is indistinguishable from `apply(frame.carried())`, over random
+    /// append / possession-`gc` / `gc_keep_last` / regenerate /
+    /// encode→decode / clone scripts and nodes at random lags, with logs on
+    /// or off, diverged digests and the seeded `bad_prefix_skip` fault.
+    #[test]
+    fn apply_frame_matches_explicit_loop() {
+        use atp_util::check::Check;
+        Check::new("apply_frame_matches_explicit_loop")
+            .cases(512)
+            .run(arb_script, |script| {
+                let mut frame = TokenFrame::new(script.cap);
+                for &(origin, payload) in &script.initial {
+                    frame.append(NodeId::new(origin), payload);
+                }
+                let history = frame.carried().to_vec();
+                let mut nodes: Vec<(OrderState, OrderState)> = script
+                    .nodes
+                    .iter()
+                    .map(|start| {
+                        let mut prefix = history[..history.len() - start.lag_from_end].to_vec();
+                        if start.diverged {
+                            if let Some(e) = prefix.first_mut() {
+                                e.payload ^= 1;
+                            }
+                        }
+                        let mut pair = (
+                            OrderState::new(start.record_log),
+                            OrderState::new(start.record_log),
+                        );
+                        for state in [&mut pair.0, &mut pair.1] {
+                            if start.bad_skip {
+                                state.enable_bad_prefix_skip();
+                            }
+                            state.apply_entries(&prefix, SimTime::ZERO);
+                        }
+                        pair
+                    })
+                    .collect();
+                for (step, op) in script.ops.iter().enumerate() {
+                    match *op {
+                        FrameOp::Append { origin, payload } => {
+                            frame.append(NodeId::new(origin), payload);
+                        }
+                        FrameOp::Possess { node, rotational } => {
+                            frame.on_possess(NodeId::new(node), rotational);
+                        }
+                        FrameOp::KeepLast(keep) => frame.gc_keep_last(keep),
+                        FrameOp::Regenerate => {
+                            frame = TokenFrame::regenerate(
+                                frame.generation + 1,
+                                frame.committed(),
+                                script.cap,
+                                Vec::new(),
+                            );
+                            assert!(frame.digest_memo().is_none());
+                        }
+                        FrameOp::RoundTrip => {
+                            let mut bytes = Vec::new();
+                            frame.encode(&mut bytes);
+                            let back = TokenFrame::decode(&mut bytes.as_slice()).expect("decode");
+                            assert_eq!(back, frame);
+                            assert!(back.digest_memo().is_none());
+                            frame = back;
+                        }
+                        FrameOp::Clone => {
+                            let copy = frame.clone();
+                            assert_eq!(copy.digest_memo(), frame.digest_memo());
+                            frame = copy;
+                        }
+                        FrameOp::Apply(i) => {
+                            let at = SimTime::from_ticks(step as u64);
+                            let (via_frame, reference) = &mut nodes[i % script.nodes.len()];
+                            let bad_skip = reference.bad_skip;
+                            let adoptable = !bad_skip && memo_extends(&frame, via_frame);
+                            let chained_before = via_frame.chain_steps();
+                            let fast = via_frame.apply_frame_entries(&frame, at);
+                            let slow = reference.apply_entries(frame.carried(), at);
+                            assert_eq!(fast, slow, "step {step}");
+                            assert_same(via_frame, reference);
+                            if adoptable {
+                                assert_eq!(via_frame.chain_steps(), chained_before);
+                            }
+                            if bad_skip {
+                                // The seeded fault always takes the loop.
+                                assert_eq!(via_frame.chain_steps(), reference.chain_steps());
+                            }
+                        }
+                    }
+                    // The memo is exactly the chain over the carried window.
+                    if let Some((before, after)) = frame.digest_memo() {
+                        assert_eq!(after.len(), frame.carried().len());
+                        let mut d = before;
+                        for (entry, memo) in frame.carried().iter().zip(after) {
+                            d = d.chain(entry);
+                            assert_eq!(d, *memo);
+                        }
+                    }
+                }
+            });
+    }
+
+    /// A holder one lap behind a 1000-entry window adopts the memo without
+    /// a single chain step and ends where the explicit loop ends.
+    #[test]
+    fn caught_up_node_adopts_the_memo_without_chaining() {
+        let mut frame = TokenFrame::new(8);
+        let mut node = OrderState::new(true);
+        frame.append(NodeId::new(0), 7);
+        node.apply_frame_entries(&frame, SimTime::ZERO);
+        assert_eq!(node.chain_steps(), 0);
+        for i in 0..1000 {
+            frame.append(NodeId::new(i % 5), i as u64);
+        }
+        let mut reference = node.clone();
+        let events = node.apply_frame_entries(&frame, SimTime::ZERO);
+        assert_eq!(events.len(), 1000);
+        assert_eq!(node.chain_steps(), 0);
+        assert_eq!(events, reference.apply_entries(frame.carried(), SimTime::ZERO));
+        assert_eq!(reference.chain_steps(), 1000);
+        assert_same(&node, &reference);
+        // Without a memo (a decoded frame) the same node would chain.
+        let mut bytes = Vec::new();
+        frame.encode(&mut bytes);
+        let decoded = TokenFrame::decode(&mut bytes.as_slice()).expect("decode");
+        let mut fresh = OrderState::new(false);
+        fresh.apply_frame_entries(&decoded, SimTime::ZERO);
+        assert_eq!(fresh.chain_steps(), 1001);
+        assert_eq!(fresh.digest(), node.digest());
     }
 
     fn digest_of(entries: &[LogEntry]) -> HistoryDigest {

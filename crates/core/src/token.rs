@@ -14,6 +14,13 @@
 //!   token-rotation trap cleanup;
 //! * the rotation bookkeeping (visit counter, round counter, idle rounds)
 //!   that drives visit stamps and the adaptive-speed optimization.
+//!
+//! Beside the carried window a locally minted frame keeps a *digest memo*:
+//! the [`HistoryDigest`] of `H` just before the window and after each
+//! carried entry. It is chained once per append, so a caught-up holder
+//! adopts the window's digests instead of re-chaining every entry. The memo
+//! is derived state: never encoded, and unknown after `decode` and
+//! `regenerate`, where holders fall back to chaining.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::VecDeque;
@@ -21,12 +28,14 @@ use std::collections::VecDeque;
 use atp_net::NodeId;
 
 use crate::codec::CodecError;
+use crate::order::HistoryDigest;
 use crate::types::{LogEntry, RequestId, VisitStamp};
 
 /// The circulating token and its bounded payload.
 ///
 /// `Debug` and `PartialEq` are written out by hand only to leave the
-/// derived satisfied-window index out; they cover every other field.
+/// derived satisfied-window index and digest memo out; they cover every
+/// other field.
 #[derive(Clone)]
 pub struct TokenFrame {
     /// Token generation; bumped on regeneration after a loss (Section 5).
@@ -53,6 +62,9 @@ pub struct TokenFrame {
     /// encoded or iterated, rebuilt by `decode`.
     satisfied_index: BTreeMap<RequestId, u32>,
     satisfied_cap: usize,
+    /// Digests of `H` along the carried window; `None` when unknown (a
+    /// decoded or regenerated frame). Derived state: never encoded.
+    memo: Option<DigestMemo>,
     /// Consecutive full rounds in which nobody used the token.
     idle_rounds: u32,
     demand_this_round: bool,
@@ -78,6 +90,10 @@ impl TokenFrame {
             satisfied: VecDeque::new(),
             satisfied_index: BTreeMap::new(),
             satisfied_cap: satisfied_cap.max(1),
+            memo: Some(DigestMemo {
+                before: HistoryDigest::EMPTY,
+                after: Vec::new(),
+            }),
             idle_rounds: 0,
             demand_this_round: false,
             excluded: Vec::new(),
@@ -97,6 +113,7 @@ impl TokenFrame {
         t.generation = generation;
         t.next_seq = known_seq + 1;
         t.excluded = excluded;
+        t.memo = None;
         t
     }
 
@@ -177,6 +194,10 @@ impl TokenFrame {
         };
         self.next_seq += 1;
         self.carried.push(entry);
+        if let Some(memo) = &mut self.memo {
+            let prev = memo.after.last().copied().unwrap_or(memo.before);
+            memo.after.push(prev.chain(&entry));
+        }
         self.demand_this_round = true;
         self.idle_rounds = 0;
         entry
@@ -209,6 +230,13 @@ impl TokenFrame {
         &self.carried
     }
 
+    /// The digest memo as `(digest of H before carried[0], digest after each
+    /// carried entry)`, or `None` when unknown. The second slice is as long
+    /// as [`TokenFrame::carried`].
+    pub(crate) fn digest_memo(&self) -> Option<(HistoryDigest, &[HistoryDigest])> {
+        self.memo.as_ref().map(|m| (m.before, m.after.as_slice()))
+    }
+
     /// Number of entries committed to `H` so far.
     pub fn committed(&self) -> u64 {
         self.next_seq - 1
@@ -236,9 +264,7 @@ impl TokenFrame {
         // a prefix: locate it by bisection and drop it in one move instead
         // of predicate-scanning the whole window every possession.
         let cut = self.carried.partition_point(|e| e.round < keep_from);
-        if cut > 0 {
-            self.carried.drain(..cut);
-        }
+        self.drop_carried_prefix(cut);
     }
 
     /// Keeps only the `keep` most recent carried entries.
@@ -247,8 +273,18 @@ impl TokenFrame {
     /// GC by: recipients that fell further behind than `keep` entries record
     /// gaps instead of stalling the window.
     pub fn gc_keep_last(&mut self, keep: usize) {
-        if self.carried.len() > keep {
-            self.carried.drain(..self.carried.len() - keep);
+        self.drop_carried_prefix(self.carried.len().saturating_sub(keep));
+    }
+
+    /// Drops the `cut` oldest carried entries and their memo digests.
+    fn drop_carried_prefix(&mut self, cut: usize) {
+        if cut == 0 {
+            return;
+        }
+        self.carried.drain(..cut);
+        if let Some(memo) = &mut self.memo {
+            memo.before = memo.after[cut - 1];
+            memo.after.drain(..cut);
         }
     }
 
@@ -295,7 +331,12 @@ impl TokenFrame {
     /// Returns [`CodecError::Truncated`] if `buf` is truncated and
     /// [`CodecError::SatisfiedOverCap`] if the satisfied window is longer
     /// than its cap: `mark_satisfied` evicts one id per push, so such a
-    /// window would never shrink back to its bound.
+    /// window would never shrink back to its bound. The carried window must
+    /// be what `append` builds — strictly consecutive seqs ending at
+    /// `next_seq - 1`, with `next_seq >= 1` — or decoding fails with
+    /// [`CodecError::ZeroNextSeq`], [`CodecError::CarriedNotConsecutive`]
+    /// or [`CodecError::CarriedTailMismatch`]; history application bisects
+    /// the window by seq and relies on that shape.
     pub fn decode(buf: &mut impl atp_util::buf::Buf) -> Result<Self, CodecError> {
         fn need(buf: &impl atp_util::buf::Buf, n: usize) -> Result<(), CodecError> {
             if buf.remaining() >= n {
@@ -310,6 +351,9 @@ impl TokenFrame {
         let visit_seq = buf.get_u64_le();
         let round = buf.get_u64_le();
         let next_seq = buf.get_u64_le();
+        if next_seq == 0 {
+            return Err(CodecError::ZeroNextSeq);
+        }
         let idle_rounds = buf.get_u32_le();
         let demand_this_round = buf.get_u8() != 0;
         let satisfied_cap = buf.get_u32_le().max(1);
@@ -317,12 +361,23 @@ impl TokenFrame {
         let mut carried = Vec::with_capacity(n_carried.min(1 << 16));
         for _ in 0..n_carried {
             need(buf, 8 + 4 + 8 + 8)?;
+            let seq = buf.get_u64_le();
+            if let Some(prev) = carried.last().map(|e: &LogEntry| e.seq) {
+                if prev.checked_add(1) != Some(seq) {
+                    return Err(CodecError::CarriedNotConsecutive { prev, seq });
+                }
+            }
             carried.push(LogEntry {
-                seq: buf.get_u64_le(),
+                seq,
                 origin: NodeId::new(buf.get_u32_le()),
                 payload: buf.get_u64_le(),
                 round: buf.get_u64_le(),
             });
+        }
+        if let Some(last) = carried.last().map(|e| e.seq) {
+            if last.checked_add(1) != Some(next_seq) {
+                return Err(CodecError::CarriedTailMismatch { last, next_seq });
+            }
         }
         need(buf, 4)?;
         let n_satisfied = buf.get_u32_le();
@@ -357,11 +412,23 @@ impl TokenFrame {
             satisfied,
             satisfied_index,
             satisfied_cap: satisfied_cap as usize,
+            memo: None,
             idle_rounds,
             demand_this_round,
             excluded,
         })
     }
+}
+
+/// Digests of `H` along a frame's carried window: `after[i]` is
+/// `chain(digest before carried[i], carried[i])`, so `after` is as long as
+/// the window and its last element is the digest of the whole of `H`.
+#[derive(Clone)]
+struct DigestMemo {
+    /// Digest of `H` just before `carried[0]` (of all of `H` when the
+    /// window is empty).
+    before: HistoryDigest,
+    after: Vec<HistoryDigest>,
 }
 
 impl std::fmt::Debug for TokenFrame {
@@ -376,6 +443,7 @@ impl std::fmt::Debug for TokenFrame {
             satisfied,
             satisfied_index: _,
             satisfied_cap,
+            memo: _,
             idle_rounds,
             demand_this_round,
             excluded,
@@ -408,6 +476,7 @@ impl PartialEq for TokenFrame {
             satisfied,
             satisfied_index: _,
             satisfied_cap,
+            memo: _,
             idle_rounds,
             demand_this_round,
             excluded,

@@ -497,6 +497,11 @@ pub struct RunProfile {
     /// Deterministic, but kept out of [`RunSummary`] and its JSON so
     /// digests of that JSON stay unchanged.
     pub entries_applied: u64,
+    /// Digest chain steps history application ran, summed over nodes.
+    /// Entries a holder adopts from the token's digest memo cost none, so
+    /// this falls below `entries_applied`. Profile-only, like
+    /// `entries_applied`.
+    pub entries_chained: u64,
 }
 
 impl RunProfile {
@@ -508,6 +513,7 @@ impl RunProfile {
         self.steps += other.steps;
         self.sched.merge(&other.sched);
         self.entries_applied += other.entries_applied;
+        self.entries_chained += other.entries_chained;
     }
 
     /// One-line human-readable rendering for stderr.
@@ -515,7 +521,7 @@ impl RunProfile {
         format!(
             "profile: {} steps, pop {:.3}s, deliver {:.3}s, drain {:.3}s, \
              sched {} cascades / {} promotions, arena {}B reused / {}B alloc, \
-             {} entries applied",
+             {} entries applied, {} entries chained",
             self.steps,
             self.pop_ns as f64 / 1e9,
             self.deliver_ns as f64 / 1e9,
@@ -525,6 +531,7 @@ impl RunProfile {
             self.sched.arena_bytes_reused,
             self.sched.arena_bytes_allocated,
             self.entries_applied,
+            self.entries_chained,
         )
     }
 }
@@ -713,6 +720,10 @@ fn drive<N: ProtocolNode>(
         steps: p.steps,
         sched: world.sched_stats(),
         entries_applied: world.nodes().map(|(_, n)| n.applied_len()).sum(),
+        entries_chained: world
+            .nodes()
+            .map(|(_, n)| n.order_state().chain_steps())
+            .sum(),
     });
     let stats = world.stats();
     let summary = RunSummary {

@@ -241,15 +241,27 @@ mod tests {
     fn entries_applied_is_deterministic_and_merges_exactly() {
         let points = sample_points();
         let (summaries, merged) = pool::with_threads(4, || run_points_profiled(&points));
-        let per_point: Vec<u64> = points
+        let per_point: Vec<(u64, u64)> = points
             .iter()
-            .map(|p| p.run_profiled().1.entries_applied)
+            .map(|p| {
+                let prof = p.run_profiled().1;
+                (prof.entries_applied, prof.entries_chained)
+            })
             .collect();
-        assert_eq!(merged.entries_applied, per_point.iter().sum::<u64>());
-        for ((p, s), applied) in points.iter().zip(&summaries).zip(&per_point) {
+        assert_eq!(
+            merged.entries_applied,
+            per_point.iter().map(|p| p.0).sum::<u64>()
+        );
+        assert_eq!(
+            merged.entries_chained,
+            per_point.iter().map(|p| p.1).sum::<u64>()
+        );
+        for ((p, s), (applied, chained)) in points.iter().zip(&summaries).zip(&per_point) {
             // Every grant appends one entry, which each node applies once.
             assert!(*applied > 0, "{:?}: nothing applied", p.spec.protocol);
             assert!(*applied <= p.spec.n as u64 * s.metrics.grants);
+            // Each chain step applies one entry; memo adoptions chain none.
+            assert!(*chained <= *applied, "{:?}", p.spec.protocol);
         }
     }
 

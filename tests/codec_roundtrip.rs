@@ -229,6 +229,70 @@ fn satisfied_window_over_cap_is_rejected() {
     );
 }
 
+/// A token frame whose carried window is not what `append` builds —
+/// strictly consecutive seqs ending at `next_seq - 1`, `next_seq >= 1` —
+/// is rejected with a typed error, including at the edges of `u64`.
+#[test]
+fn carried_window_shape_is_validated() {
+    let mut frame = TokenFrame::new(4);
+    for payload in [10, 20, 30] {
+        frame.append(NodeId::new(1), payload);
+    }
+    let bytes = encode_ring_msg(&RingMsg::Token(Box::new(frame)));
+    assert!(matches!(decode_ring_msg(&bytes), Ok(RingMsg::Token(_))));
+    // Tag (1) + generation, transfer_seq, visit_seq, round (28) put
+    // next_seq at offset 29; the carried entries (28 bytes each, seq
+    // first) follow the cap and the carried length at offset 50.
+    const NEXT_SEQ: usize = 29;
+    let seq_at = |i: usize| 50 + 28 * i;
+    assert_eq!(bytes[NEXT_SEQ..NEXT_SEQ + 8], 4u64.to_le_bytes());
+    assert_eq!(bytes[seq_at(2)..seq_at(2) + 8], 3u64.to_le_bytes());
+    let mutated = |edits: &[(usize, u64)]| {
+        let mut b = bytes.clone();
+        for &(at, v) in edits {
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        decode_ring_msg(&b).err()
+    };
+    assert_eq!(mutated(&[(NEXT_SEQ, 0)]), Some(CodecError::ZeroNextSeq));
+    assert_eq!(
+        mutated(&[(seq_at(1), 5)]),
+        Some(CodecError::CarriedNotConsecutive { prev: 1, seq: 5 })
+    );
+    assert_eq!(
+        mutated(&[(seq_at(1), 1)]),
+        Some(CodecError::CarriedNotConsecutive { prev: 1, seq: 1 })
+    );
+    assert_eq!(
+        mutated(&[(NEXT_SEQ, 10)]),
+        Some(CodecError::CarriedTailMismatch {
+            last: 3,
+            next_seq: 10
+        })
+    );
+    // Seqs that would wrap past u64::MAX are errors, not overflows.
+    let max = u64::MAX;
+    assert_eq!(
+        mutated(&[(seq_at(0), max - 2), (seq_at(1), max - 1), (seq_at(2), max)]),
+        Some(CodecError::CarriedTailMismatch {
+            last: max,
+            next_seq: 4
+        })
+    );
+    assert_eq!(
+        mutated(&[(seq_at(0), max - 1), (seq_at(1), max), (seq_at(2), 0)]),
+        Some(CodecError::CarriedNotConsecutive { prev: max, seq: 0 })
+    );
+    // A shifted but well-formed window decodes.
+    assert!(mutated(&[
+        (seq_at(0), 7),
+        (seq_at(1), 8),
+        (seq_at(2), 9),
+        (NEXT_SEQ, 10)
+    ])
+    .is_none());
+}
+
 #[test]
 fn truncation_always_errors_or_decodes_prefix_free() {
     Check::new("truncation_always_errors_or_decodes_prefix_free").run(arb_msg, |msg| {
@@ -273,6 +337,9 @@ fn ring_byte_corruption_is_rejected_or_reinterpreted_never_honored() {
                     CodecError::BadTag(_)
                         | CodecError::Truncated
                         | CodecError::SatisfiedOverCap { .. }
+                        | CodecError::ZeroNextSeq
+                        | CodecError::CarriedNotConsecutive { .. }
+                        | CodecError::CarriedTailMismatch { .. }
                 ),
                 "unstructured ring decode error: {e:?}"
             ),
@@ -307,6 +374,9 @@ fn search_byte_corruption_is_rejected_or_reinterpreted_never_honored() {
                     CodecError::BadTag(_)
                         | CodecError::Truncated
                         | CodecError::SatisfiedOverCap { .. }
+                        | CodecError::ZeroNextSeq
+                        | CodecError::CarriedNotConsecutive { .. }
+                        | CodecError::CarriedTailMismatch { .. }
                 ),
                 "unstructured search decode error: {e:?}"
             ),
